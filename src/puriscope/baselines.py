@@ -130,15 +130,8 @@ def swap_test_moment(
         value = x_mean
         exact = exact_x
     else:
-        diag = np.real(
-            np.einsum(
-                "ij,jk,ki->i",
-                spec_a.eigenvectors.conj().T,
-                observable.matrix,
-                spec_a.eigenvectors,
-            )
-        )
-        truth = float((lam ** t) @ diag)
+        power = spec_a.apply(lambda w: np.clip(w, 0.0, None) ** t)
+        truth = float(np.vdot(power, observable.matrix).real)  # Tr(O rho^t), power Hermitian
         value = samples_mean
         exact = exact_xo
 

@@ -23,12 +23,10 @@ from .core import (
     PAULI_Z,
     eigh,
     kron_all,
-    matrix_power_trace,
-    partial_trace,
 )
-from .ensembles import child_rng
 from .errors import DomainError, GapError, GuardError, ValidationError
-from .measurement import ShotBudget, bootstrap_stderr, measure_observable_with_stderr, tomography
+from .estimators import _principal, _two_stage
+from .measurement import ShotBudget
 from .reports import EstimatorReport
 
 COMPLETENESS_ATOL = 1e-9
@@ -149,10 +147,9 @@ class StinespringIsometry:
 
     def env_state(self, rho_in: DensityMatrix) -> DensityMatrix:
         """Environment marginal Tr_A(V rho V^dag); dimension-1 state when b = 0."""
-        if self.b == 0:
-            return DensityMatrix(np.array([[1.0 + 0j]]), 0)
-        joint = self.output_state(rho_in)
-        return partial_trace(joint, range(self.n, self.n + self.b))
+        d, dB = self.dim, self.env_dim
+        joint = self.output_state(rho_in).matrix.reshape(d, dB, d, dB)
+        return DensityMatrix(np.einsum("abad->bd", joint), self.b)
 
     def apply(self, rho_in: DensityMatrix) -> np.ndarray:
         """Channel action Tr_B(V rho V^dag) recovered from the dilation."""
@@ -196,14 +193,14 @@ def canonicalize(channel: QuantumChannel, rank_tol: float = 1e-9) -> Stinespring
     weights = weights / weights.sum()
     d = channel.dim
     kraus = tuple(np.sqrt(d) * spec.eigenvectors[:, i].reshape(d, d) for i in range(r))
-    b = 0 if r == 1 else int(np.ceil(np.log2(r)))
+    b = int(np.ceil(np.log2(r)))
     dB = 2 ** b
-    v = np.zeros((d * dB, d), dtype=complex)
+    v = np.zeros((d, dB, d), dtype=complex)  # row index (system, environment)
     for i in range(r):
-        e_i = np.zeros((dB, 1), dtype=complex)
-        e_i[i, 0] = 1.0
-        v += np.sqrt(weights[i]) * np.kron(kraus[i], e_i)
-    return StinespringIsometry(matrix=v, b=b, weights=weights, canonical_kraus=kraus, n=channel.n)
+        v[:, i, :] = np.sqrt(weights[i]) * kraus[i]
+    return StinespringIsometry(
+        matrix=v.reshape(d * dB, d), b=b, weights=weights, canonical_kraus=kraus, n=channel.n
+    )
 
 
 def _guard_env(iso: StinespringIsometry):
@@ -214,20 +211,14 @@ def _guard_env(iso: StinespringIsometry):
 def unitarity_estimate(iso: StinespringIsometry, budget: ShotBudget, seed: int) -> EstimatorReport:
     """Estimate sum_i p_i^2 by tomographing the environment of a mixed-input run."""
     _guard_env(iso)
-    truth = float(np.sum(iso.weights ** 2))
-    if iso.b == 0:
-        return EstimatorReport(value=1.0, truth=truth, shots_used={}, stderr=0.0, seed=seed)
-    rho_b = iso.env_state(maximally_mixed(iso.n))
-    tomo = tomography(rho_b, budget.tomography_shots, child_rng(seed, 0))
-    value = matrix_power_trace(tomo.estimate, 2)
-    stderr = bootstrap_stderr(tomo, lambda dm: matrix_power_trace(dm, 2), child_rng(seed, 2))
-    return EstimatorReport(
-        value=value,
-        truth=truth,
-        shots_used={"tomography": budget.tomography_shots},
-        stderr=stderr,
-        seed=seed,
-    )
+    report = _two_stage(
+        iso.env_state(maximally_mixed(iso.n)),
+        budget,
+        seed,
+        spectral=lambda w: np.sum(np.clip(w, 0.0, None) ** 2, axis=-1),
+    )[0]
+    report.truth = float(np.sum(iso.weights ** 2))
+    return report
 
 
 def virtual_distillation_estimate(
@@ -245,32 +236,16 @@ def virtual_distillation_estimate(
     _guard_env(iso)
     if observable.dim != iso.dim:
         raise DomainError("observable dimension does not match the channel")
-    truth = iso.distilled_truth(rho_in, observable)
-    joint = iso.output_state(rho_in)
-    if iso.b == 0:
-        value, se = measure_observable_with_stderr(
-            joint, observable, budget.observable_shots, child_rng(seed, 1)
-        )
-        return EstimatorReport(
-            value=value,
-            truth=truth,
-            shots_used={"observable": budget.observable_shots},
-            stderr=se,
-            seed=seed,
-        )
-    rho_b = iso.env_state(maximally_mixed(iso.n))
-    tomo = tomography(rho_b, budget.tomography_shots, child_rng(seed, 0))
-    composite = np.kron(observable.matrix, tomo.estimate.matrix)
-    value, se = measure_observable_with_stderr(
-        joint, composite, budget.observable_shots, child_rng(seed, 1)
-    )
-    return EstimatorReport(
-        value=value,
-        truth=truth,
-        shots_used={"tomography": budget.tomography_shots, "observable": budget.observable_shots},
-        stderr=se,
-        seed=seed,
-    )
+    report = _two_stage(
+        iso.env_state(maximally_mixed(iso.n)),
+        budget,
+        seed,
+        joint=iso.output_state(rho_in),
+        observable=observable,
+        terms=lambda spec: [(1.0, spec.reconstruct())],
+    )[0]
+    report.truth = iso.distilled_truth(rho_in, observable)
+    return report
 
 
 def channel_pca_estimate(
@@ -289,35 +264,16 @@ def channel_pca_estimate(
     gap = float(iso.weights[0] - iso.weights[1]) if iso.weights.size > 1 else float(iso.weights[0])
     if gap < min_gap:
         raise GapError(f"leading-weight gap {gap:.4f} below required {min_gap}")
-    truth = iso.principal_truth(rho_in, observable)
-    joint = iso.output_state(rho_in)
-    if iso.b == 0:
-        value, se = measure_observable_with_stderr(
-            joint, observable, budget.observable_shots, child_rng(seed, 1)
-        )
-        return EstimatorReport(
-            value=value,
-            truth=truth,
-            shots_used={"observable": budget.observable_shots},
-            stderr=se,
-            seed=seed,
-        )
-    rho_b = iso.env_state(maximally_mixed(iso.n))
-    tomo = tomography(rho_b, budget.tomography_shots, child_rng(seed, 0))
-    spec_hat = tomo.estimate.spectral()
-    p0_hat = float(spec_hat.eigenvalues[0])
-    psi0 = spec_hat.eigenvectors[:, 0]
-    composite = np.kron(observable.matrix, np.outer(psi0, psi0.conj()))
-    raw, se = measure_observable_with_stderr(
-        joint, composite, budget.observable_shots, child_rng(seed, 1)
-    )
-    return EstimatorReport(
-        value=raw / p0_hat,
-        truth=truth,
-        shots_used={"tomography": budget.tomography_shots, "observable": budget.observable_shots},
-        stderr=se / p0_hat,
-        seed=seed,
-    )
+    report = _two_stage(
+        iso.env_state(maximally_mixed(iso.n)),
+        budget,
+        seed,
+        joint=iso.output_state(rho_in),
+        observable=observable,
+        terms=lambda spec: [_principal(spec)],
+    )[0]
+    report.truth = iso.principal_truth(rho_in, observable)
+    return report
 
 
 def unitary_channel(u: np.ndarray) -> QuantumChannel:

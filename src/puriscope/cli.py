@@ -353,6 +353,13 @@ def _run_crypto_blind(args) -> tuple[list, dict, bool]:
     return [row], summary, ok
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -370,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rank", type=int, default=2)
         p.add_argument("--t", type=int, default=2, help="moment order")
         p.add_argument("--budget", type=int, default=20_000, help="total shots per trial")
-        p.add_argument("--trials", type=int, default=20)
+        p.add_argument("--trials", type=_positive_int, default=20)
         p.add_argument("--rounds", type=int, default=10_000, help="crypto-blind rounds")
         p.add_argument("--task", choices=sorted(_SEPARATION_PAIRS), default="purity")
         p.add_argument("--seed", type=int, default=None)

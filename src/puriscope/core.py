@@ -18,7 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -204,9 +204,13 @@ class SpectralDecomposition:
             return float(self.eigenvalues[0]) if self.eigenvalues.size else 0.0
         return float(self.eigenvalues[0] - self.eigenvalues[1])
 
-    def reconstruct(self) -> np.ndarray:
+    def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """V f(w) V^dag; a leading stack axis on both arrays carries through."""
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return (v * f(self.eigenvalues)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+    def reconstruct(self) -> np.ndarray:
+        return self.apply(lambda w: w)
 
 
 def eigh(matrix: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> SpectralDecomposition:
@@ -426,9 +430,7 @@ def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2."""
     if a.dim != b.dim:
         raise DimensionError("dimension mismatch")
-    sa = a.spectral()
-    w = np.clip(sa.eigenvalues, 0.0, None)
-    sqrt_a = (sa.eigenvectors * np.sqrt(w)) @ sa.eigenvectors.conj().T
+    sqrt_a = a.spectral().apply(lambda w: np.sqrt(np.clip(w, 0.0, None)))
     inner = sqrt_a @ b.matrix @ sqrt_a
     vals = np.clip(np.linalg.eigvalsh((inner + inner.conj().T) / 2), 0.0, None)
     # roundoff-scale eigenvalues would otherwise leak sqrt(eps) into the sum

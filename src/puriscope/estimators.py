@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -20,13 +20,21 @@ from .core import (
     DensityMatrix,
     Observable,
     PureState,
+    SpectralDecomposition,
     matrix_power_trace,
     partial_trace,
     steered_operator,
     trace_norm,
 )
 from .ensembles import child_rng
-from .errors import DomainError, GapError, GuardError, InsufficientDataError, PreconditionError
+from .errors import (
+    DimensionError,
+    DomainError,
+    GapError,
+    GuardError,
+    InsufficientDataError,
+    PreconditionError,
+)
 from .measurement import (
     ShotBudget,
     bootstrap_stderr,
@@ -79,27 +87,21 @@ def _steer(state: JointState, nA: int, nB: int, b_operator: np.ndarray) -> np.nd
     return np.einsum("abcd,db->ac", t, np.asarray(b_operator, dtype=complex))
 
 
-def bipartite_expectation(psi: PureState, a_operator: np.ndarray, b_operator: np.ndarray) -> float:
-    """<psi| A (x) B |psi> without forming the Kronecker product."""
-    c = psi.as_matrix()
-    x = c.conj().T @ (np.asarray(a_operator, dtype=complex) @ c)
+def _expectation_weights(joint: JointState, a_operator: np.ndarray) -> np.ndarray:
+    """The B-side matrix X with Tr[joint (A (x) g)] = sum(X * g) for every g."""
+    a = np.asarray(a_operator, dtype=complex)
+    if isinstance(joint, PureState):
+        c = joint.as_matrix()
+        return c.conj().T @ (a @ c)
+    dA = a.shape[0]
+    dB = joint.dim // dA
+    return np.einsum("abcd,ca->db", joint.matrix.reshape(dA, dB, dA, dB), a)
+
+
+def bipartite_expectation(psi: JointState, a_operator: np.ndarray, b_operator: np.ndarray) -> float:
+    """Tr[ psi (A (x) B) ] for a pure or mixed joint state, without the Kronecker product."""
+    x = _expectation_weights(psi, a_operator)
     return float(np.real(np.sum(x * np.asarray(b_operator, dtype=complex))))
-
-
-def bipartite_expectation_mixed(
-    rho_joint: DensityMatrix, nA: int, a_operator: np.ndarray, b_operator: np.ndarray
-) -> float:
-    """Tr[ rho (A (x) B) ] for an explicitly stored joint density matrix."""
-    dA = 2 ** nA
-    dB = rho_joint.dim // dA
-    t = rho_joint.matrix.reshape(dA, dB, dA, dB)
-    val = np.einsum(
-        "abcd,ca,db->",
-        t,
-        np.asarray(a_operator, dtype=complex),
-        np.asarray(b_operator, dtype=complex),
-    )
-    return float(np.real(val))
 
 
 def oracle_identity_check(
@@ -128,11 +130,9 @@ def oracle_identity_check(
     if kind is PurificationIdentity.MOMENT_STEERING:
         if t < 1:
             raise DomainError("moment order must be >= 1")
-        spec_b = rho_b.spectral()
-        power = (spec_b.eigenvectors * np.clip(spec_b.eigenvalues, 0, None) ** (t - 1)) @ spec_b.eigenvectors.conj().T
+        power = rho_b.spectral().apply(lambda w: np.clip(w, 0, None) ** (t - 1))
         lhs = _steer(state, nA, nB, power)
-        spec_a = rho_a.spectral()
-        rhs = (spec_a.eigenvectors * np.clip(spec_a.eigenvalues, 0, None) ** t) @ spec_a.eigenvectors.conj().T
+        rhs = rho_a.spectral().apply(lambda w: np.clip(w, 0, None) ** t)
         return trace_norm(lhs - rhs)
 
     spec_b = rho_b.spectral(rank_tol)
@@ -181,10 +181,78 @@ def _guard_observable(observable: Observable, dim: int):
         )
 
 
-def _matrix_power(dm: DensityMatrix, t: int) -> np.ndarray:
-    spec = dm.spectral()
-    w = np.clip(spec.eigenvalues, 0.0, None) ** t
-    return (spec.eigenvectors * w) @ spec.eigenvectors.conj().T
+def _outer(ket: np.ndarray, bra: np.ndarray) -> np.ndarray:
+    """|ket><bra|, broadcast over leading stack axes."""
+    return ket[..., :, None] * bra.conj()[..., None, :]
+
+
+def _principal(spec: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """Stage-2 term of principal-component estimation: (1 / lambda_0, |psi_0><psi_0|)."""
+    top = spec.eigenvectors[..., :, 0]
+    return 1.0 / spec.eigenvalues[..., 0], _outer(top, top)
+
+
+def _two_stage(
+    rho_b: DensityMatrix,
+    budget: ShotBudget,
+    seed: int,
+    *,
+    spectral: Callable[[np.ndarray], np.ndarray] = lambda w: np.zeros(w.shape[:-1]),
+    joint: Optional[JointState] = None,
+    observable: Optional[Observable] = None,
+    terms: Callable[[SpectralDecomposition], list] = lambda spec: [],
+    power: int = 1,
+) -> tuple[EstimatorReport, SpectralDecomposition, list[float]]:
+    """The protocol shared by every purification and dilation estimator.
+
+    Stage 1 tomographs the small register ``rho_b``.  ``terms`` maps its
+    spectrum to (coefficient, g) pairs, and stage 2 measures O (x) g on
+    ``joint`` for each, with an even share of the observable shots.  The
+    estimate is spectral(w) + sum_i coefficient_i * mean_i ** power.  Its
+    stderr is the hypot of the propagated shot error and a bootstrap of
+    stage 1, which re-evaluates the estimate on resampled spectra with
+    exact stage-2 means.  ``spectral`` and ``terms`` act on a leading
+    resample axis too.  Returns the report, the stage-1 spectrum and the
+    stage-2 means.  The caller fills in the report's truth afterwards, so
+    the oracle's d_A x d_A work never adds to stage 2's memory peak.
+    """
+    tomo = tomography(rho_b, budget.tomography_shots, child_rng(seed, 0))
+    spec = tomo.estimate.spectral()
+    measured = terms(spec)
+    shots_used = {"tomography": tomo.raw_shots}
+    means: list[float] = []
+    shot_var = 0.0
+    weights = None
+    if measured:
+        shots_each = budget.observable_shots // len(measured)
+        if shots_each < 1:
+            raise InsufficientDataError(
+                f"{budget.observable_shots} observable shots cannot cover "
+                f"{len(measured)} measurements"
+            )
+        rng = child_rng(seed, 1)
+        for coefficient, g in measured:
+            mean, se = measure_observable_with_stderr(
+                joint, np.kron(observable.matrix, g), shots_each, rng
+            )
+            means.append(mean)
+            shot_var += (power * coefficient * mean ** (power - 1) * se) ** 2
+        shots_used["observable"] = shots_each * len(measured)
+        weights = _expectation_weights(joint, observable.matrix)
+
+    def estimate(w: np.ndarray, coefficients: list, values: list) -> np.ndarray:
+        return spectral(w) + sum(c * v ** power for c, v in zip(coefficients, values))
+
+    def stage1(spectra: SpectralDecomposition) -> np.ndarray:
+        resampled = terms(spectra)
+        exact = [np.real(np.sum(weights * g, axis=(-2, -1))) for _, g in resampled]
+        return estimate(spectra.eigenvalues, [c for c, _ in resampled], exact)
+
+    se_stage1 = bootstrap_stderr(tomo, stage1, child_rng(seed, 2))
+    value = float(estimate(spec.eigenvalues, [c for c, _ in measured], means))
+    stderr = float(np.hypot(np.sqrt(shot_var), se_stage1))
+    report = EstimatorReport(value=value, shots_used=shots_used, stderr=stderr, seed=seed)
+    return report, spec, means
 
 
 def estimate_moment(psi: PureState, t: int, budget: ShotBudget, seed: int) -> EstimatorReport:
@@ -197,18 +265,14 @@ def estimate_moment(psi: PureState, t: int, budget: ShotBudget, seed: int) -> Es
     _guard_psi(psi)
     if not 2 <= t <= MOMENT_GUARD:
         raise DomainError(f"moment order t={t} outside [2, {MOMENT_GUARD}]")
-    rho_b = partial_trace(psi, "B")
-    tomo = tomography(rho_b, budget.tomography_shots, child_rng(seed, 0))
-    value = matrix_power_trace(tomo.estimate, t)
-    truth = matrix_power_trace(partial_trace(psi, "A"), t)
-    stderr = bootstrap_stderr(tomo, lambda dm: matrix_power_trace(dm, t), child_rng(seed, 2))
-    return EstimatorReport(
-        value=value,
-        truth=truth,
-        shots_used={"tomography": budget.tomography_shots},
-        stderr=stderr,
-        seed=seed,
-    )
+    report = _two_stage(
+        partial_trace(psi, "B"),
+        budget,
+        seed,
+        spectral=lambda w: np.sum(np.clip(w, 0.0, None) ** t, axis=-1),
+    )[0]
+    report.truth = matrix_power_trace(partial_trace(psi, "A"), t)
+    return report
 
 
 def estimate_virtual_cooling(
@@ -227,32 +291,17 @@ def estimate_virtual_cooling(
     if not 2 <= t <= MOMENT_GUARD:
         raise DomainError(f"moment order t={t} outside [2, {MOMENT_GUARD}]")
     _guard_observable(observable, 2 ** psi.nA)
-
-    rho_b = partial_trace(psi, "B")
-    tomo = tomography(rho_b, budget.tomography_shots, child_rng(seed, 0))
-    power = _matrix_power(tomo.estimate, t - 1)
-    composite = np.kron(observable.matrix, power)
-    value, se_shot = measure_observable_with_stderr(
-        psi, composite, budget.observable_shots, child_rng(seed, 1)
-    )
-
-    spec_a = partial_trace(psi, "A").spectral()
-    w = np.clip(spec_a.eigenvalues, 0.0, None) ** t
-    diag = np.real(np.einsum("ij,jk,ki->i", spec_a.eigenvectors.conj().T, observable.matrix, spec_a.eigenvectors))
-    truth = float(w @ diag)
-
-    se_stage1 = bootstrap_stderr(
-        tomo,
-        lambda dm: bipartite_expectation(psi, observable.matrix, _matrix_power(dm, t - 1)),
-        child_rng(seed, 2),
-    )
-    return EstimatorReport(
-        value=value,
-        truth=truth,
-        shots_used={"tomography": budget.tomography_shots, "observable": budget.observable_shots},
-        stderr=float(np.hypot(se_shot, se_stage1)),
-        seed=seed,
-    )
+    report = _two_stage(
+        partial_trace(psi, "B"),
+        budget,
+        seed,
+        joint=psi,
+        observable=observable,
+        terms=lambda spec: [(1.0, spec.apply(lambda w: np.clip(w, 0.0, None) ** (t - 1)))],
+    )[0]
+    power_a = partial_trace(psi, "A").spectral().apply(lambda w: np.clip(w, 0.0, None) ** t)
+    report.truth = float(np.vdot(power_a, observable.matrix).real)  # Tr(O rho_A^t)
+    return report
 
 
 def estimate_pca(
@@ -277,34 +326,12 @@ def estimate_pca(
     if exact_gap < min_gap:
         raise GapError(f"spectral gap {exact_gap:.4f} below the required {min_gap}")
 
-    tomo = tomography(rho_b, budget.tomography_shots, child_rng(seed, 0))
-    spec_hat = tomo.estimate.spectral()
-    lam0_hat = float(spec_hat.eigenvalues[0])
-    psi0_hat = spec_hat.eigenvectors[:, 0]
-    projector = np.outer(psi0_hat, psi0_hat.conj())
-    composite = np.kron(observable.matrix, projector)
-    raw, se_shot = measure_observable_with_stderr(
-        psi, composite, budget.observable_shots, child_rng(seed, 1)
-    )
-    value = raw / lam0_hat
-
-    spec_a = partial_trace(psi, "A").spectral()
-    psi_a0 = spec_a.eigenvectors[:, 0]
-    truth = float(np.real(psi_a0.conj() @ (observable.matrix @ psi_a0)))
-
-    def stage1(dm: DensityMatrix) -> float:
-        s = dm.spectral()
-        p = np.outer(s.eigenvectors[:, 0], s.eigenvectors[:, 0].conj())
-        return bipartite_expectation(psi, observable.matrix, p) / float(s.eigenvalues[0])
-
-    se_stage1 = bootstrap_stderr(tomo, stage1, child_rng(seed, 2))
-    return EstimatorReport(
-        value=value,
-        truth=truth,
-        shots_used={"tomography": budget.tomography_shots, "observable": budget.observable_shots},
-        stderr=float(np.hypot(se_shot / lam0_hat, se_stage1)),
-        seed=seed,
-    )
+    report = _two_stage(
+        rho_b, budget, seed, joint=psi, observable=observable, terms=lambda spec: [_principal(spec)]
+    )[0]
+    psi_a0 = partial_trace(psi, "A").spectral().eigenvectors[:, 0]
+    report.truth = float(np.real(psi_a0.conj() @ (observable.matrix @ psi_a0)))
+    return report
 
 
 @dataclass(frozen=True)
@@ -312,15 +339,12 @@ class QfiTermTable:
     """Per-pair bookkeeping of the reformulated Fisher-information sum.
 
     Each row holds (j, k, lambda_j, lambda_k, prefactor, eigenstate_factor)
-    for an unordered pair of nonzero eigenvalues; the total multiplies each
-    row by 2 to cover both orderings.
+    for an unordered pair of nonzero eigenvalues; the estimate sums
+    2 * prefactor * eigenstate_factor over the rows, covering both orderings.
     """
 
     pairs: tuple[tuple[int, int, float, float, float, float], ...]
     support_rank: int
-
-    def total(self) -> float:
-        return float(sum(2.0 * row[4] * row[5] for row in self.pairs))
 
     def to_json(self) -> dict:
         return {
@@ -334,15 +358,15 @@ def _qfi_prefactor(lam_j: float, lam_k: float) -> float:
 
 
 def flip_observables(vec_j: np.ndarray, vec_k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Hermitian pair (|j><k| + h.c., i|j><k| + h.c.) for one eigenpair."""
-    raw = np.outer(vec_j, vec_k.conj())
-    plus = raw + raw.conj().T
-    minus = 1j * raw + (1j * raw).conj().T
+    """The Hermitian pair (|j><k| + h.c., i|j><k| + h.c.) for one eigenpair (or a stack)."""
+    raw = _outer(vec_j, vec_k)
+    plus = raw + raw.conj().swapaxes(-1, -2)
+    minus = 1j * raw + (1j * raw).conj().swapaxes(-1, -2)
     return plus, minus
 
 
 def eigenstate_factor_exact(
-    psi: PureState, observable: Observable, vec_j: np.ndarray, vec_k: np.ndarray
+    psi: JointState, observable: Observable, vec_j: np.ndarray, vec_k: np.ndarray
 ) -> float:
     """Infinite-shot value of the two-copy eigenstate factor.
 
@@ -363,10 +387,9 @@ def eigenstate_factor_incoherent(
     vec_k: np.ndarray,
 ) -> float:
     """Same product construction evaluated on a classically correlated state."""
-    plus, minus = flip_observables(vec_j, vec_k)
-    m_plus = bipartite_expectation_mixed(rho_joint, nA, observable.matrix, plus)
-    m_minus = bipartite_expectation_mixed(rho_joint, nA, observable.matrix, minus)
-    return 0.5 * (m_plus ** 2 + m_minus ** 2)
+    if observable.dim != 2 ** nA:
+        raise DimensionError(f"observable dimension {observable.dim} != 2**nA = {2 ** nA}")
+    return eigenstate_factor_exact(rho_joint, observable, vec_j, vec_k)
 
 
 def qfi_oracle(rho: DensityMatrix, observable: Observable, mode: str = "support_only") -> float:
@@ -391,10 +414,6 @@ def qfi_oracle(rho: DensityMatrix, observable: Observable, mode: str = "support_
         keep = lam > tol
         ratio = ratio * np.outer(keep, keep)
     return float(2.0 * np.sum(ratio * np.abs(mat) ** 2))
-
-
-def qfi_support_pairs(rank: int) -> list[tuple[int, int]]:
-    return list(itertools.combinations(range(rank), 2))
 
 
 def estimate_qfi(
@@ -434,53 +453,30 @@ def estimate_qfi(
                     f"{abs(lam_exact[j] - lam_exact[k]):.4f} < {min_gap}"
                 )
 
-    pairs = qfi_support_pairs(r)
-    tomo = tomography(rho_b, budget.tomography_shots, child_rng(seed, 0))
-    spec_hat = tomo.estimate.spectral()
+    pairs = list(itertools.combinations(range(r), 2))
 
-    n_meas = max(2 * len(pairs), 1)
-    shots_each = budget.observable_shots // n_meas
-    if pairs and shots_each < 1:
-        raise InsufficientDataError(
-            f"{budget.observable_shots} observable shots cannot cover {n_meas} measurements"
-        )
+    def flips(spec: SpectralDecomposition) -> list:
+        w, v = spec.eigenvalues, spec.eigenvectors
+        out = []
+        for j, k in pairs:
+            prefactor = _qfi_prefactor(w[..., j], w[..., k])
+            out += [(prefactor, g) for g in flip_observables(v[..., :, j], v[..., :, k])]
+        return out
 
-    rows = []
-    total = 0.0
-    var_total = 0.0
-    rng_obs = child_rng(seed, 1)
-    for j, k in pairs:
-        lam_j = float(spec_hat.eigenvalues[j])
-        lam_k = float(spec_hat.eigenvalues[k])
-        prefactor = _qfi_prefactor(lam_j, lam_k)
-        plus, minus = flip_observables(spec_hat.eigenvectors[:, j], spec_hat.eigenvectors[:, k])
-        m_plus, se_plus = measure_observable_with_stderr(
-            psi, np.kron(observable.matrix, plus), shots_each, rng_obs
-        )
-        m_minus, se_minus = measure_observable_with_stderr(
-            psi, np.kron(observable.matrix, minus), shots_each, rng_obs
-        )
-        factor = 0.5 * (m_plus ** 2 + m_minus ** 2)
-        rows.append((j, k, lam_j, lam_k, prefactor, factor))
-        total += 2.0 * prefactor * factor
-        var_total += (2.0 * prefactor * m_plus * se_plus) ** 2
-        var_total += (2.0 * prefactor * m_minus * se_minus) ** 2
-
-    rho_a = partial_trace(psi, "A")
-    truth = qfi_oracle(rho_a, observable, "support_only")
-    table = QfiTermTable(tuple(rows), r)
-    return EstimatorReport(
-        value=total,
-        truth=truth,
-        shots_used={
-            "tomography": budget.tomography_shots,
-            "observable": shots_each * n_meas if pairs else 0,
-        },
-        stderr=float(np.sqrt(var_total)),
-        seed=seed,
-        extras={
-            "full_qfi_oracle": qfi_oracle(rho_a, observable, "full"),
-            "support_rank": r,
-            "term_table": table.to_json(),
-        },
+    report, spec, means = _two_stage(
+        rho_b, budget, seed, joint=psi, observable=observable, terms=flips, power=2
     )
+    rho_a = partial_trace(psi, "A")
+    report.truth = qfi_oracle(rho_a, observable, "support_only")
+    lam = spec.eigenvalues
+    rows = []
+    for (j, k), m_plus, m_minus in zip(pairs, means[0::2], means[1::2]):
+        prefactor = float(_qfi_prefactor(lam[j], lam[k]))
+        factor = 0.5 * (m_plus ** 2 + m_minus ** 2)
+        rows.append((j, k, float(lam[j]), float(lam[k]), prefactor, factor))
+    report.extras = {
+        "full_qfi_oracle": qfi_oracle(rho_a, observable, "full"),
+        "support_rank": r,
+        "term_table": QfiTermTable(tuple(rows), r).to_json(),
+    }
+    return report

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -17,24 +17,20 @@ from .core import (
     DensityMatrix,
     HADAMARD,
     Observable,
-    PAULI_I,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     PureState,
+    SpectralDecomposition,
     StateLike,
     eigh,
+    kron_all,
 )
 from .ensembles import haar_unitary
 from .errors import DimensionError, DomainError, GuardError, InsufficientDataError, ValidationError
 
-_PAULI_STACK = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
 _EIGENBASIS = {
     "X": HADAMARD,
     "Y": np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2),
     "Z": np.eye(2, dtype=complex),
 }
-_LETTER_INDEX = {"I": 0, "X": 1, "Y": 2, "Z": 3}
 
 
 @dataclass(frozen=True)
@@ -108,14 +104,6 @@ def histogram_to_json(counts: np.ndarray) -> dict[str, int]:
     return {format(k, f"0{n}b"): int(c) for k, c in enumerate(counts) if c}
 
 
-def _observable_counts(
-    state: StateLike, observable: Observable, shots: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    spec = observable.spectral()
-    counts = measure_in_basis(state, spec.eigenvectors, shots, rng)
-    return spec.eigenvalues, counts
-
-
 def measure_observable(
     state: StateLike,
     observable: Union[Observable, np.ndarray],
@@ -123,16 +111,7 @@ def measure_observable(
     rng: np.random.Generator,
 ) -> float:
     """Empirical mean of eigenvalue outcomes sampled in the observable's eigenbasis."""
-    if not isinstance(observable, Observable):
-        observable = Observable(observable)
-    if observable.dim != state.dim:
-        raise DimensionError(
-            f"observable dimension {observable.dim} != state dimension {state.dim}"
-        )
-    if shots < 1:
-        raise DomainError("shots must be >= 1")
-    values, counts = _observable_counts(state, observable, shots, rng)
-    return float(counts @ values / shots)
+    return measure_observable_with_stderr(state, observable, shots, rng)[0]
 
 
 def measure_observable_with_stderr(
@@ -145,10 +124,14 @@ def measure_observable_with_stderr(
     if not isinstance(observable, Observable):
         observable = Observable(observable)
     if observable.dim != state.dim:
-        raise DimensionError("dimension mismatch")
+        raise DimensionError(
+            f"observable dimension {observable.dim} != state dimension {state.dim}"
+        )
     if shots < 1:
         raise DomainError("shots must be >= 1")
-    values, counts = _observable_counts(state, observable, shots, rng)
+    spec = observable.spectral()
+    values = spec.eigenvalues
+    counts = measure_in_basis(state, spec.eigenvectors, shots, rng)
     mean = float(counts @ values / shots)
     second = float(counts @ (values ** 2) / shots)
     var = max(second - mean ** 2, 0.0)
@@ -157,69 +140,60 @@ def measure_observable_with_stderr(
 
 @dataclass(frozen=True)
 class TomographyResult:
-    """PSD-projected state estimate plus the raw data that produced it."""
+    """PSD-projected state estimate plus the raw data that produced it.
+
+    ``setting_counts[s, k]`` is how often setting s (the product-Pauli
+    settings in ``itertools.product("XYZ", repeat=m)`` order) gave outcome k.
+    """
 
     estimate: DensityMatrix
     raw_shots: int
     basis_settings: int
     linear_inversion: np.ndarray = field(repr=False)
-    settings: tuple[str, ...] = field(repr=False)
-    setting_counts: tuple[np.ndarray, ...] = field(repr=False)
+    setting_counts: np.ndarray = field(repr=False)
 
 
 def _setting_basis(setting: str) -> np.ndarray:
-    basis = np.array([[1.0 + 0j]])
-    for letter in setting:
-        basis = np.kron(basis, _EIGENBASIS[letter])
-    return basis
+    return kron_all(*(_EIGENBASIS[letter] for letter in setting))
 
 
-def _sign_table(m: int) -> np.ndarray:
-    """signs[i, k] = (-1)**bit_i(k) for outcomes k of an m-qubit register."""
-    outcomes = np.arange(2 ** m)
-    return np.array([1 - 2 * ((outcomes >> (m - 1 - i)) & 1) for i in range(m)], dtype=float)
+# _SNAPSHOT[letter, bit] = 3|b><b| - I for eigenvector b of X, Y or Z: the
+# inverse of the single-qubit measurement channel (classical shadows).
+_SNAPSHOT = np.array(
+    [
+        [3 * np.outer(u[:, b], u[:, b].conj()) - np.eye(2) for b in (0, 1)]
+        for u in (_EIGENBASIS["X"], _EIGENBASIS["Y"], _EIGENBASIS["Z"])
+    ]
+)
 
 
-def _counts_to_estimate(
-    settings: Sequence[str], counts_list: Sequence[np.ndarray], m: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Average Pauli expectations across settings and invert to a matrix."""
+def _psd_weights(w: np.ndarray) -> np.ndarray:
+    """Eigenvalues with the negative part clipped, renormalized to trace 1."""
+    w = np.clip(w, 0.0, None)
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def _shadow_inverse(counts: np.ndarray) -> np.ndarray:
+    """Linear-inversion estimates from a (..., 3**m, 2**m) stack of count tables.
+
+    Averages the product snapshot (x)_i (3|b_i><b_i| - I) over each
+    setting's outcomes and then over the settings.  A Pauli string with
+    support S is measured by 3**(m - |S|) settings, so this equals
+    averaging each Pauli expectation over the settings that measure it and
+    inverting the Pauli expansion.  A 0-qubit register estimates to [[1]].
+    """
+    lead = counts.shape[:-2]
+    m = counts.shape[-1].bit_length() - 1
+    if m == 0:
+        return np.ones(lead + (1, 1), dtype=complex)
+    totals = counts.sum(axis=-1, keepdims=True)
+    t = (counts / totals).reshape((-1,) + (3,) * m + (2,) * m)
+    for i in range(m):
+        # contract qubit i's (setting, outcome) pair; its (row, col) pair is appended
+        t = np.tensordot(t, _SNAPSHOT, axes=([1, 1 + m - i], [0, 1]))
+    rows_then_cols = [0] + list(range(1, 2 * m, 2)) + list(range(2, 2 * m + 1, 2))
     d = 2 ** m
-    signs = _sign_table(m)
-    sums: dict[tuple[int, ...], float] = {}
-    hits: dict[tuple[int, ...], int] = {}
-    subsets = [s for s in itertools.product((0, 1), repeat=m) if any(s)]
-    for setting, counts in zip(settings, counts_list):
-        total = counts.sum()
-        if total == 0:
-            continue
-        letters = [_LETTER_INDEX[c] for c in setting]
-        for subset in subsets:
-            prod = np.ones(d)
-            for i, take in enumerate(subset):
-                if take:
-                    prod = prod * signs[i]
-            key = tuple(letters[i] if subset[i] else 0 for i in range(m))
-            value = float(counts @ prod / total)
-            sums[key] = sums.get(key, 0.0) + value
-            hits[key] = hits.get(key, 0) + 1
-
-    coeffs = np.zeros((4,) * m)
-    coeffs[(0,) * m] = 1.0
-    for key, total in sums.items():
-        coeffs[key] = total / hits[key]
-
-    tensor = coeffs.astype(complex)
-    for _ in range(m):
-        tensor = np.tensordot(tensor, _PAULI_STACK, axes=(0, 0))
-    perm = list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2))
-    raw = tensor.transpose(perm).reshape(d, d) / d
-
-    spec = eigh((raw + raw.conj().T) / 2)
-    clipped = np.clip(spec.eigenvalues, 0.0, None)
-    clipped = clipped / clipped.sum()
-    projected = (spec.eigenvectors * clipped) @ spec.eigenvectors.conj().T
-    return raw, projected
+    return t.transpose(rows_then_cols).reshape(lead + (d, d)) / 3 ** m
 
 
 def tomography(
@@ -233,59 +207,54 @@ def tomography(
 
     Shots are split evenly over the 3**m product-Pauli settings; the raw
     linear-inversion matrix is kept alongside the projected estimate so
-    callers can bootstrap derived functionals.
+    callers can bootstrap derived functionals.  A 0-qubit state draws no
+    shots.
     """
     m = state.n
     d = state.dim
     if d > max_dim:
         raise GuardError(f"dimension {d} exceeds the tomography guard {max_dim}")
-    if shots < d ** 2:
+    if m and shots < d ** 2:
         raise InsufficientDataError(f"{shots} shots below the d^2 = {d ** 2} floor")
     settings = ["".join(s) for s in itertools.product("XYZ", repeat=m)]
     per, extra = divmod(shots, len(settings))
-    counts_list = []
-    for k, setting in enumerate(settings):
+    counts = np.zeros((len(settings), d), dtype=np.int64)
+    for k, setting in enumerate(settings if m else ()):
         basis = _setting_basis(setting)
         n_shots = per + (1 if k < extra else 0)
-        if n_shots == 0:
-            counts_list.append(np.zeros(d, dtype=int))
-            continue
-        counts_list.append(measure_in_basis(state, basis, n_shots, rng))
-    raw, projected = _counts_to_estimate(settings, counts_list, m)
+        counts[k] = measure_in_basis(state, basis, n_shots, rng)
+    raw = _shadow_inverse(counts)
+    projected = eigh(raw).apply(_psd_weights)
     return TomographyResult(
         estimate=DensityMatrix(projected, m),
-        raw_shots=shots,
+        raw_shots=int(counts.sum()),
         basis_settings=len(settings),
         linear_inversion=raw,
-        settings=tuple(settings),
-        setting_counts=tuple(counts_list),
+        setting_counts=counts,
     )
 
 
 def bootstrap_stderr(
     result: TomographyResult,
-    functional: Callable[[DensityMatrix], float],
+    functional: Callable[[SpectralDecomposition], np.ndarray],
     rng: np.random.Generator,
     resamples: int = 200,
 ) -> float:
     """Nonparametric bootstrap of a tomography-derived scalar.
 
-    Resamples each setting's outcome counts multinomially and recomputes
-    the functional on the re-projected estimate.
+    Resamples each setting's outcome counts multinomially, reconstructs
+    and PSD-projects all resamples at once, and calls ``functional`` once
+    on their spectra: a SpectralDecomposition whose arrays carry a leading
+    resample axis (eigenvalues descending).  It returns one value per
+    resample.
     """
-    m = result.estimate.n
-    values = np.empty(resamples)
-    for b in range(resamples):
-        resampled = []
-        for counts in result.setting_counts:
-            total = int(counts.sum())
-            if total == 0:
-                resampled.append(counts)
-                continue
-            resampled.append(rng.multinomial(total, counts / total))
-        _, projected = _counts_to_estimate(result.settings, resampled, m)
-        values[b] = functional(DensityMatrix(projected, m))
-    return float(values.std(ddof=1))
+    counts = result.setting_counts
+    totals = counts.sum(axis=1)
+    probs = counts / np.maximum(totals, 1)[:, None]
+    draws = rng.multinomial(totals, probs, size=(resamples, totals.size))
+    w, v = np.linalg.eigh(_shadow_inverse(draws))
+    spectra = SpectralDecomposition(_psd_weights(w[..., ::-1]), v[..., ::-1])
+    return float(np.std(functional(spectra), ddof=1))
 
 
 def _haar_frame_probs(

@@ -20,6 +20,7 @@ from puriscope import (
 from puriscope.channels import maximally_mixed
 from puriscope.core import PAULI_X, PAULI_Z, trace_norm
 from puriscope.errors import DomainError, GapError, GuardError, ValidationError
+from puriscope.measurement import measure_observable_with_stderr, tomography
 
 
 def hermitian_basis(d):
@@ -158,6 +159,16 @@ class TestUnitarityEstimate:
             report = unitarity_estimate(iso, ShotBudget(tomography_shots=10_000), seed=trial)
             assert report.abs_error < 0.05
 
+    def test_fixed_seed_values(self):
+        # Stage 1 only: the tomography stream is fixed, so the value is too.
+        iso = canonicalize(random_channel(2, 2, child_rng(107, 0)))
+        report = unitarity_estimate(iso, ShotBudget(tomography_shots=10_000), seed=0)
+        assert abs(report.value - 0.5528997308476791) < 1e-12
+        iso = canonicalize(random_channel(2, 3, child_rng(114)))
+        assert iso.b == 2
+        report = unitarity_estimate(iso, ShotBudget(tomography_shots=10_000), seed=5)
+        assert abs(report.value - 0.3750656288068763) < 1e-12
+
     def test_env_guard(self):
         channel = random_channel(2, 16, child_rng(108))
         iso = canonicalize(channel)
@@ -193,6 +204,56 @@ class TestVirtualDistillation:
         report = virtual_distillation_estimate(iso, rho, obs, ShotBudget(50_000, 50_000), seed=6)
         assert report.abs_error < 0.05
         assert report.truth == pytest.approx(iso.distilled_truth(rho, obs))
+
+
+def _shot_only_stderr(iso, rho, obs, budget, seed, operator):
+    """Stage-2 standard error alone, rebuilt from the estimator's streams."""
+    env_state = iso.env_state(maximally_mixed(iso.n))
+    spec = tomography(env_state, budget.tomography_shots, child_rng(seed, 0)).estimate.spectral()
+    composite = np.kron(obs.matrix, operator(spec))
+    _, se = measure_observable_with_stderr(
+        iso.output_state(rho), composite, budget.observable_shots, child_rng(seed, 1)
+    )
+    return se, spec
+
+
+class TestTwoStage:
+    def test_distillation_stderr_exceeds_shot_part(self):
+        iso = canonicalize(random_channel(2, 2, child_rng(115)))
+        rho = DensityMatrix(np.diag([1.0, 0, 0, 0]).astype(complex), 2)
+        obs = Observable(np.kron(PAULI_Z, np.eye(2)))
+        budget = ShotBudget(4_000, 4_000)
+        report = virtual_distillation_estimate(iso, rho, obs, budget, seed=12)
+        shot, _ = _shot_only_stderr(iso, rho, obs, budget, 12, lambda spec: spec.reconstruct())
+        assert np.isfinite(report.stderr)
+        assert report.stderr > shot
+
+    def test_channel_pca_stderr_exceeds_shot_part(self):
+        iso = canonicalize(amplitude_damping_channel(0.1))
+        rho = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), 1)
+        obs = Observable(PAULI_Z)
+        budget = ShotBudget(4_000, 4_000)
+        report = channel_pca_estimate(iso, rho, obs, budget, seed=13)
+
+        def top_projector(spec):
+            top = spec.eigenvectors[:, 0]
+            return np.outer(top, top.conj())
+
+        shot, spec = _shot_only_stderr(iso, rho, obs, budget, 13, top_projector)
+        assert np.isfinite(report.stderr)
+        assert report.stderr > shot / spec.eigenvalues[0]
+
+    def test_unitary_channel_values_fixed(self):
+        # b = 0: the environment is a number, so no shot is drawn for it.
+        u = haar_unitary(2, child_rng(109))
+        iso = canonicalize(unitary_channel(u))
+        rho = DensityMatrix(np.diag([1.0, 0]).astype(complex), 1)
+        obs = Observable(PAULI_Z)
+        for estimator in (virtual_distillation_estimate, channel_pca_estimate):
+            report = estimator(iso, rho, obs, ShotBudget(100, 20_000), seed=4)
+            assert abs(report.value - 0.9101) < 1e-12
+            assert abs(report.stderr - 0.0029301705581757523) < 1e-12
+            assert report.shots_used == {"tomography": 0, "observable": 20_000}
 
 
 class TestChannelPca:

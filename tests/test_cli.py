@@ -74,6 +74,12 @@ class TestCliContract:
             main(["definitely-not-real"])
         assert err.value.code == 64
 
+    def test_nonpositive_trials_exits_64(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["moment", "--n", "2", "--trials", "0", "--jobs", "1"])
+        assert err.value.code == 64
+        assert "--trials" in capsys.readouterr().err
+
     def test_missing_subcommand_exits_64(self):
         assert main([]) == 64
 

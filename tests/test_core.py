@@ -5,6 +5,7 @@ from puriscope import (
     DensityMatrix,
     Observable,
     PureState,
+    SpectralDecomposition,
     eigh,
     matrix_power_trace,
     partial_trace,
@@ -192,6 +193,19 @@ class TestEigh:
             for col in a.eigenvectors[:, :2].T
         ]
         assert keys == sorted(keys)
+
+    def test_apply_matches_matrix_function_and_broadcasts_over_a_stack(self):
+        rhos = [random_density(2, 4, child_rng(58, k)) for k in range(3)]
+        specs = [rho.spectral() for rho in rhos]
+        for rho, spec in zip(rhos, specs):
+            sqrt_rho = spec.apply(np.sqrt)
+            assert np.abs(sqrt_rho @ sqrt_rho - rho.matrix).max() < 1e-12
+        stack = SpectralDecomposition(
+            np.stack([s.eigenvalues for s in specs]), np.stack([s.eigenvectors for s in specs])
+        )
+        cubes = stack.apply(lambda w: w ** 3)
+        for cube, rho in zip(cubes, rhos):
+            assert np.abs(cube - np.linalg.matrix_power(rho.matrix, 3)).max() < 1e-12
 
     def test_declared_rank_mode(self):
         spec = eigh(np.diag([0.7, 0.3, 0.0, 0.0]).astype(complex))

@@ -30,6 +30,7 @@ from puriscope.estimators import (
     eigenstate_factor_incoherent,
     flip_observables,
 )
+from puriscope.measurement import measure_observable_with_stderr, tomography
 
 BELL = PureState(np.array([1, 0, 0, 1]) / np.sqrt(2), 1, 1)
 
@@ -111,6 +112,16 @@ class TestEstimateMoment:
         assert abs(report.truth - 0.82) < 1e-9
         assert report.abs_error < 0.05
         assert report.stderr > 0
+
+    def test_fixed_seed_values(self):
+        # Stage 1 only: the tomography stream is fixed, so the value is too.
+        psi = purify(rank2_state(3, child_rng(64)), 1)
+        report = estimate_moment(psi, 2, ShotBudget(tomography_shots=10_000), seed=1)
+        assert abs(report.value - 0.8314234426293579) < 1e-12
+        sample = sample_ensemble(EnsembleSpec(EnsembleFamily.VC_PCA_S1, 4), child_rng(68))
+        psi = purify(sample.rho, 2)
+        report = estimate_moment(psi, 3, ShotBudget(tomography_shots=20_000), seed=7)
+        assert abs(report.value - 0.15538742435856975) < 1e-12
 
     def test_pure_marginal(self):
         rho = DensityMatrix(np.diag([1.0, 0, 0, 0]).astype(complex), 2)
@@ -230,6 +241,24 @@ class TestEstimateQfi:
         assert abs(total - report.value) < 1e-12
         j, k, lam_j, lam_k, prefactor, _ = table["pairs"][0]
         assert abs(prefactor - (lam_j - lam_k) ** 2 / (lam_j * lam_k * (lam_j + lam_k))) < 1e-12
+
+    def test_stderr_adds_stage1_error_to_shot_error(self):
+        rng = child_rng(73)
+        psi = purify(embedded_rank2(3, rng), 1)
+        obs = Observable(pauli_on(3, 0, PAULI_X))
+        seed = 17
+        report = estimate_qfi(psi, obs, ShotBudget(4_000, 4_000), seed=seed)
+        # the shot-only part, rebuilt from the same streams
+        spec = tomography(partial_trace(psi, "B"), 4_000, child_rng(seed, 0)).estimate.spectral()
+        lam_j, lam_k = spec.eigenvalues[:2]
+        prefactor = (lam_j - lam_k) ** 2 / (lam_j * lam_k * (lam_j + lam_k))
+        stage2 = child_rng(seed, 1)
+        parts = []
+        for flip in flip_observables(spec.eigenvectors[:, 0], spec.eigenvectors[:, 1]):
+            mean, se = measure_observable_with_stderr(psi, np.kron(obs.matrix, flip), 2_000, stage2)
+            parts.append(2 * prefactor * mean * se)
+        assert np.isfinite(report.stderr)
+        assert report.stderr > np.hypot(*parts)
 
     def test_pure_payload_reports_both_oracles(self):
         rho = DensityMatrix(np.diag([1.0, 0]).astype(complex), 1)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,14 +16,20 @@ from puriscope import (
     tomography,
     trace_norm,
 )
-from puriscope.core import HADAMARD, PAULI_Z
+from puriscope.core import HADAMARD, PAULI_X, PAULI_Y, PAULI_Z
 from puriscope.errors import (
     DimensionError,
     DomainError,
     InsufficientDataError,
     ValidationError,
 )
-from puriscope.measurement import bootstrap_stderr, measure_observable_with_stderr
+from puriscope.measurement import (
+    _setting_basis,
+    _shadow_inverse,
+    born_probabilities,
+    bootstrap_stderr,
+    measure_observable_with_stderr,
+)
 
 
 def mixed_state(n, rank, rng, weights=None):
@@ -153,6 +161,30 @@ class TestTomography:
         with pytest.raises(GuardError):
             tomography(rho, 10 ** 6, child_rng(16))
 
+    def test_reconstruction_from_exact_probabilities(self):
+        # Born probabilities in place of counts: linear inversion is exact.
+        for m in (1, 2, 3, 4):
+            rho = mixed_state(m, 2 ** m, child_rng(39, m))
+            table = np.stack(
+                [
+                    born_probabilities(rho, _setting_basis("".join(s)))
+                    for s in itertools.product("XYZ", repeat=m)
+                ]
+            )
+            assert np.abs(_shadow_inverse(table) - rho.matrix).max() < 1e-12
+
+    def test_zero_qubit_register_reconstructs_to_one(self):
+        np.testing.assert_array_equal(_shadow_inverse(np.zeros((1, 1))), [[1.0]])
+        result = tomography(DensityMatrix(np.ones((1, 1)), 0), 100, child_rng(40))
+        np.testing.assert_array_equal(result.estimate.matrix, [[1.0]])
+        assert result.raw_shots == 0
+
+    def test_one_qubit_counts_give_bloch_vector(self):
+        counts = np.array([[70, 30], [45, 55], [90, 10]])  # X, Y, Z settings
+        rx, ry, rz = (counts[:, 0] - counts[:, 1]) / counts.sum(axis=1)
+        bloch = (np.eye(2) + rx * PAULI_X + ry * PAULI_Y + rz * PAULI_Z) / 2
+        assert np.abs(_shadow_inverse(counts) - bloch).max() < 1e-15
+
     def test_error_shrinks_with_shots(self):
         rho = mixed_state(2, 3, child_rng(17))
 
@@ -247,7 +279,11 @@ class TestBootstrap:
     def test_bootstrap_tracks_replication_spread(self):
         rho = mixed_state(1, 2, child_rng(31), weights=[0.8, 0.2])
         result = tomography(rho, 3000, child_rng(32))
-        boot = bootstrap_stderr(result, lambda dm: dm.purity(), child_rng(33), resamples=200)
+
+        def purity(spectra):
+            return np.sum(spectra.eigenvalues ** 2, axis=-1)
+
+        boot = bootstrap_stderr(result, purity, child_rng(33), resamples=200)
         replicate = np.array(
             [
                 tomography(rho, 3000, child_rng(34, k)).estimate.purity()
