@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DensityMatrix, Observable, PAULI_X, PAULI_Z, pauli_on
+from .core import DensityMatrix, HADAMARD, Observable, PAULI_X, PAULI_Z, pauli_on
 from .ensembles import (
     EnsembleFamily,
     EnsembleSpec,
@@ -26,7 +26,7 @@ from .ensembles import (
 )
 from .errors import DomainError, GuardError
 from .estimators import estimate_moment, estimate_qfi, estimate_virtual_cooling, qfi_oracle
-from .measurement import ShotBudget, _rm_purity_estimates, tomography
+from .measurement import ShotBudget, _rm_purity_estimates, measure_in_basis, tomography
 from .reports import EstimatorReport
 
 SWAP_REGISTER_GUARD = 13  # joint register dimension 2 * 2**(t n) <= 2**13
@@ -79,38 +79,20 @@ def swap_test_moment(
     for _ in range(t - 1):
         copies = np.kron(copies, psi.amplitudes)
     tensor = copies.reshape([dA, dB] * t)
-    branch0 = tensor.reshape(-1)
-    branch1 = _cycle_a_registers(tensor, t).reshape(-1)
+    branch0 = tensor.reshape(dA, -1)
+    branch1 = _cycle_a_registers(tensor, t).reshape(dA, -1)
+    # Control (x) first system copy, every other register traced out.
+    columns = np.concatenate([branch0, branch1]) / math.sqrt(2)
+    reduced = DensityMatrix(columns @ columns.conj().T, 1 + psi.nA)
 
     if observable is None:
-        obs_values = np.ones(dA)
-        rotate = None
+        obs_values, obs_basis = np.ones(dA), np.eye(dA)
     else:
         spec_o = observable.spectral()
-        obs_values = spec_o.eigenvalues
-        rotate = spec_o.eigenvectors.conj().T
-
-    def rotated(branch: np.ndarray) -> np.ndarray:
-        if rotate is None:
-            return branch
-        block = branch.reshape(dA, -1)
-        return (rotate @ block).reshape(-1)
-
-    r0 = rotated(branch0)
-    r1 = rotated(branch1)
+        obs_values, obs_basis = spec_o.eigenvalues, spec_o.eigenvectors
     # Control in the X eigenbasis: |+> outcome +1, |-> outcome -1.
-    plus = (r0 + r1) / 2.0
-    minus = (r0 - r1) / 2.0
-    rest = plus.size // dA
-    probs = np.stack(
-        [
-            np.abs(plus.reshape(dA, rest)) ** 2 @ np.ones(rest),
-            np.abs(minus.reshape(dA, rest)) ** 2 @ np.ones(rest),
-        ]
-    )  # shape (2, dA): control outcome, first-copy observable outcome
-    flat = np.clip(probs.reshape(-1).real, 0.0, None)
-    flat = flat / flat.sum()
-    counts = child_rng(seed, 0).multinomial(shots, flat).reshape(2, dA)
+    counts = measure_in_basis(reduced, (HADAMARD, obs_basis), shots, child_rng(seed, 0))
+    counts = counts.reshape(2, dA)
 
     x_signs = np.array([1.0, -1.0])
     xo_values = np.outer(x_signs, obs_values)
@@ -119,7 +101,6 @@ def swap_test_moment(
     stderr = float(np.sqrt(max(second - samples_mean ** 2, 0.0) / shots))
     x_mean = float(np.sum(counts * x_signs[:, None]) / shots)
 
-    exact_xo = float(np.real(np.vdot(r0, (xo_values[0][:, None] * r1.reshape(dA, rest)).reshape(-1))))
     exact_x = float(np.real(np.vdot(branch0, branch1)))
 
     spec_a = rho.spectral()
@@ -133,7 +114,7 @@ def swap_test_moment(
         power = spec_a.apply(lambda w: np.clip(w, 0.0, None) ** t)
         truth = float(np.vdot(power, observable.matrix).real)  # Tr(O rho^t), power Hermitian
         value = samples_mean
-        exact = exact_xo
+        exact = float(np.real(np.vdot(branch0, observable.matrix @ branch1)))
 
     return EstimatorReport(
         value=value,

@@ -403,15 +403,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.print_usage(sys.stderr)
         return 64
 
+    try:
+        n_values = _parse_n_range(args.n)
+    except ValueError:
+        n_values = []
+    if not n_values:
+        parser.error(f"--n {args.n!r} names no qubit count (use N, N..M or N,M,...)")
+
     args.seed = _resolve_seed(args.seed)
     experiment = args.experiment
-    scalar_n_experiments = {
-        "moment", "cooling", "pca", "qfi",
-        "channel-unitarity", "channel-distill", "channel-pca",
-        "swap-test", "crypto-verify", "crypto-blind", "identities",
-    }
-    if experiment in scalar_n_experiments:
-        args.n = int(_parse_n_range(args.n)[0])
+    if experiment != "separation":
+        args.n = n_values[0]
 
     try:
         if experiment == "identities":

@@ -18,7 +18,7 @@ import numpy as np
 from .core import DensityMatrix, Observable, PureState, basis_state, partial_trace, trace_norm
 from .ensembles import child_rng, verification_state, _haar_vector
 from .errors import DomainError, ValidationError
-from .measurement import ShotBudget, tomography
+from .measurement import ShotBudget, born_probabilities, tomography
 from .baselines import single_copy_purity_attack
 
 DEFAULT_ALPHAS = (math.sqrt(0.9), math.sqrt(0.5))
@@ -201,13 +201,11 @@ def run_blind_estimation(
     view_deviation = trace_norm(server_view.matrix - mixture)
 
     spec_o = observable.spectral()
-    c = psi_joint.as_matrix()
-    rotated = spec_o.eigenvectors.conj().T @ c  # (d, 2): observable index x B bit
-    probs = np.clip(np.abs(rotated) ** 2, 0.0, None)
-    probs = probs / probs.sum()
+    # outcome index = 2 * (observable eigen-index) + B bit
+    probs = born_probabilities(psi_joint, (spec_o.eigenvectors, np.eye(2)))
 
     rng = child_rng(seed, 0)
-    draws = rng.choice(2 * d, size=rounds, p=probs.reshape(-1))
+    draws = rng.choice(2 * d, size=rounds, p=probs)
     obs_idx, b_bits = draws // 2, draws % 2
     reported = spec_o.eigenvalues[obs_idx] + report_bias
     kept_mask = b_bits == 0

@@ -207,11 +207,14 @@ def _two_stage(
 
     Stage 1 tomographs the small register ``rho_b``.  ``terms`` maps its
     spectrum to (coefficient, g) pairs, and stage 2 measures O (x) g on
-    ``joint`` for each, with an even share of the observable shots.  The
-    estimate is spectral(w) + sum_i coefficient_i * mean_i ** power.  Its
-    stderr is the hypot of the propagated shot error and a bootstrap of
-    stage 1, which re-evaluates the estimate on resampled spectra with
-    exact stage-2 means.  ``spectral`` and ``terms`` act on a leading
+    ``joint`` for each, with an even share of the observable shots, in the
+    product eigenbasis U_O (x) U_g (O's spectrum is cached on the
+    observable, so the d_A x d_A eigh runs once).  The estimate is
+    spectral(w) + sum_i coefficient_i * mean_i ** power.  Its stderr is
+    the hypot of the propagated shot error and a bootstrap of stage 1,
+    which re-evaluates the estimate on resampled spectra with exact
+    stage-2 means; a value that is not finite raises
+    InsufficientDataError.  ``spectral`` and ``terms`` act on a leading
     resample axis too.  Returns the report, the stage-1 spectrum and the
     stage-2 means.  The caller fills in the report's truth afterwards, so
     the oracle's d_A x d_A work never adds to stage 2's memory peak.
@@ -232,9 +235,7 @@ def _two_stage(
             )
         rng = child_rng(seed, 1)
         for coefficient, g in measured:
-            mean, se = measure_observable_with_stderr(
-                joint, np.kron(observable.matrix, g), shots_each, rng
-            )
+            mean, se = measure_observable_with_stderr(joint, (observable, g), shots_each, rng)
             means.append(mean)
             shot_var += (power * coefficient * mean ** (power - 1) * se) ** 2
         shots_used["observable"] = shots_each * len(measured)
@@ -250,6 +251,8 @@ def _two_stage(
 
     se_stage1 = bootstrap_stderr(tomo, stage1, child_rng(seed, 2))
     value = float(estimate(spec.eigenvalues, [c for c, _ in measured], means))
+    if not np.isfinite(value):
+        raise InsufficientDataError(f"estimate {value} is not finite; stage 1 needs more shots")
     stderr = float(np.hypot(np.sqrt(shot_var), se_stage1))
     report = EstimatorReport(value=value, shots_used=shots_used, stderr=stderr, seed=seed)
     return report, spec, means

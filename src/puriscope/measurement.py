@@ -7,7 +7,9 @@ given (inputs, seed).
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -23,7 +25,6 @@ from .core import (
     eigh,
     kron_all,
 )
-from .ensembles import haar_unitary
 from .errors import DimensionError, DomainError, GuardError, InsufficientDataError, ValidationError
 
 _EIGENBASIS = {
@@ -68,28 +69,46 @@ class ShotBudget:
         return ShotBudget(tomography_shots=tomo, observable_shots=total - tomo)
 
 
-def born_probabilities(state: StateLike, basis: np.ndarray) -> np.ndarray:
-    """Outcome probabilities for measuring in the given orthonormal basis."""
-    basis = np.asarray(basis, dtype=complex)
-    if basis.shape[0] != state.dim:
-        raise DimensionError(f"basis dimension {basis.shape[0]} != state dimension {state.dim}")
+def _support(state: StateLike) -> tuple[np.ndarray, np.ndarray]:
+    """Columns c_j and weights w_j with state = sum_j w_j |c_j><c_j|."""
     if isinstance(state, PureState):
-        p = np.abs(basis.conj().T @ state.amplitudes) ** 2
-    else:
-        spec = state.spectral()
-        r = max(spec.rank, 1)
-        overlaps = np.abs(basis.conj().T @ spec.eigenvectors[:, :r]) ** 2
-        p = overlaps @ np.clip(spec.eigenvalues[:r], 0.0, None)
+        return state.amplitudes[:, None], np.ones(1)
+    spec = state.spectral()
+    r = max(spec.rank, 1)
+    return spec.eigenvectors[:, :r], np.clip(spec.eigenvalues[:r], 0.0, None)
+
+
+def born_probabilities(state: StateLike, basis: Union[np.ndarray, tuple]) -> np.ndarray:
+    """Outcome probabilities for measuring in the given orthonormal basis.
+
+    ``basis`` is one unitary or a tuple of tensor factors, leftmost factor
+    most significant.  The state's support columns are rotated factor by
+    factor, so a product basis is never formed as one matrix.
+    """
+    factors = basis if isinstance(basis, tuple) else (basis,)
+    factors = [np.asarray(f, dtype=complex) for f in factors]
+    dims = [f.shape[0] for f in factors]
+    if math.prod(dims) != state.dim:
+        raise DimensionError(f"basis dimension {math.prod(dims)} != state dimension {state.dim}")
+    columns, weights = _support(state)
+    t = columns.reshape(dims + [-1])
+    for axis, u in enumerate(factors):
+        moved = np.moveaxis(t, axis, 0)
+        rotated = u.conj().T @ moved.reshape(dims[axis], -1)
+        t = np.moveaxis(rotated.reshape(moved.shape), 0, axis)
+    p = (np.abs(t) ** 2).reshape(state.dim, -1) @ weights
     p = np.clip(p.real, 0.0, None)
     return p / p.sum()
 
 
 def measure_in_basis(
-    state: StateLike, basis: np.ndarray, shots: int, rng: np.random.Generator
+    state: StateLike, basis: Union[np.ndarray, tuple], shots: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Histogram of computational outcomes after rotating into ``basis``.
 
-    Returns an integer array of length 2**n whose entries sum to ``shots``.
+    ``basis`` is one unitary or a tuple of tensor factors, as in
+    :func:`born_probabilities`.  Returns an integer array of length 2**n
+    whose entries sum to ``shots``.
     """
     if shots < 1:
         raise DomainError("shots must be >= 1")
@@ -106,7 +125,7 @@ def histogram_to_json(counts: np.ndarray) -> dict[str, int]:
 
 def measure_observable(
     state: StateLike,
-    observable: Union[Observable, np.ndarray],
+    observable: Union[Observable, np.ndarray, tuple],
     shots: int,
     rng: np.random.Generator,
 ) -> float:
@@ -116,22 +135,25 @@ def measure_observable(
 
 def measure_observable_with_stderr(
     state: StateLike,
-    observable: Union[Observable, np.ndarray],
+    observable: Union[Observable, np.ndarray, tuple],
     shots: int,
     rng: np.random.Generator,
 ) -> tuple[float, float]:
-    """Mean and standard error of the shot-sampled observable estimate."""
-    if not isinstance(observable, Observable):
-        observable = Observable(observable)
-    if observable.dim != state.dim:
-        raise DimensionError(
-            f"observable dimension {observable.dim} != state dimension {state.dim}"
-        )
+    """Mean and standard error of the shot-sampled observable estimate.
+
+    A tuple of factor observables measures their tensor product (leftmost
+    factor most significant) in the product of their eigenbases; each
+    outcome's value is the product of the factors' eigenvalues.
+    """
+    factors = observable if isinstance(observable, tuple) else (observable,)
+    specs = [(f if isinstance(f, Observable) else Observable(f)).spectral() for f in factors]
+    dim = math.prod(spec.eigenvalues.size for spec in specs)
+    if dim != state.dim:
+        raise DimensionError(f"observable dimension {dim} != state dimension {state.dim}")
     if shots < 1:
         raise DomainError("shots must be >= 1")
-    spec = observable.spectral()
-    values = spec.eigenvalues
-    counts = measure_in_basis(state, spec.eigenvectors, shots, rng)
+    values = functools.reduce(np.multiply.outer, [spec.eigenvalues for spec in specs]).ravel()
+    counts = measure_in_basis(state, tuple(spec.eigenvectors for spec in specs), shots, rng)
     mean = float(counts @ values / shots)
     second = float(counts @ (values ** 2) / shots)
     var = max(second - mean ** 2, 0.0)
@@ -257,60 +279,33 @@ def bootstrap_stderr(
     return float(np.std(functional(spectra), ddof=1))
 
 
-def _haar_frame_probs(
-    weights: np.ndarray, d: int, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Outcome probabilities of ``count`` Haar-basis measurements of a rank-r state.
-
-    Rotating the measurement basis by Haar U is distributionally the same
-    as rotating the state's support frame, so a d x r Ginibre QR per
-    setting replaces the full d x d unitary.
-    """
-    r = weights.size
-    z = rng.standard_normal((count, d, r)) + 1j * rng.standard_normal((count, d, r))
-    q, _ = np.linalg.qr(z)
-    probs = np.abs(q) ** 2 @ weights
-    return probs / probs.sum(axis=1, keepdims=True)
-
-
 def _rm_purity_estimates(
     state: StateLike,
     unitaries: int,
     shots_per_unitary: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Per-unitary unbiased purity estimates from the collision U-statistic."""
+    """Per-unitary unbiased purity estimates from the collision U-statistic.
+
+    Rotating the measurement basis by Haar U is distributionally the same
+    as rotating the state's support frame, so a d x r Ginibre QR per
+    setting replaces the full d x d unitary; the QR columns are the first
+    r columns of a Haar unitary at any rank r <= d.
+    """
     if unitaries < 2:
         raise DomainError("need at least 2 random unitaries")
     if shots_per_unitary < 2:
         raise InsufficientDataError("the pair statistic needs at least 2 shots per unitary")
     d = state.dim
     m = shots_per_unitary
-
-    if isinstance(state, PureState):
-        weights = np.array([1.0])
-        low_rank = True
-    else:
-        spec = state.spectral()
-        r = max(spec.rank, 1)
-        weights = np.clip(spec.eigenvalues[:r], 0.0, None)
-        weights = weights / weights.sum()
-        low_rank = r <= d // 2
-    if low_rank:
-        probs = _haar_frame_probs(weights, d, unitaries, rng)
-        counts = np.empty((unitaries, d), dtype=np.int64)
-        for k in range(unitaries):
-            counts[k] = rng.multinomial(m, probs[k])
-        collisions = ((counts * counts).sum(axis=1) - m) / (m * (m - 1))
-        return (d + 1) * collisions - 1.0
-
-    estimates = np.empty(unitaries)
-    for k in range(unitaries):
-        u = haar_unitary(d, rng)
-        counts_k = measure_in_basis(state, u, m, rng)
-        collisions = (counts_k @ counts_k - m) / (m * (m - 1))
-        estimates[k] = (d + 1) * collisions - 1.0
-    return estimates
+    _, weights = _support(state)
+    r = weights.size
+    z = rng.standard_normal((unitaries, d, r)) + 1j * rng.standard_normal((unitaries, d, r))
+    q, _ = np.linalg.qr(z)
+    probs = np.abs(q) ** 2 @ (weights / weights.sum())
+    counts = rng.multinomial(m, probs / probs.sum(axis=1, keepdims=True))
+    collisions = ((counts * counts).sum(axis=1) - m) / (m * (m - 1))
+    return (d + 1) * collisions - 1.0
 
 
 def randomized_measurement_purity(

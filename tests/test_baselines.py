@@ -55,6 +55,17 @@ class TestSwapTest:
                 assert abs(report.extras["exact_expectation"] - report.truth) < 1e-9
                 assert abs(report.extras["exact_moment_expectation"] - report.extras["moment_truth"]) < 1e-9
 
+    def test_fixed_seed_values(self):
+        rho = rank2_state(2, child_rng(94))
+        obs = Observable(pauli_on(2, 0, PAULI_Z))
+        report = swap_test_moment(rho, obs, 2, 4000, seed=3)
+        assert abs(report.value - 0.262) < 1e-12
+        assert abs(report.stderr - 0.015259062880793171) < 1e-12
+        assert abs(report.extras["moment_estimate"] - 0.833) < 1e-12
+        report = swap_test_moment(rho, None, 3, 4000, seed=4)
+        assert abs(report.value - 0.7295) < 1e-12
+        assert abs(report.stderr - 0.010814686195169973) < 1e-12
+
     def test_hard_instance_observable(self):
         sample = sample_ensemble(EnsembleSpec(EnsembleFamily.VC_PCA_S1, 4), child_rng(93))
         obs = Observable(pauli_on(4, 0, PAULI_Z))

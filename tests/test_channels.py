@@ -210,9 +210,8 @@ def _shot_only_stderr(iso, rho, obs, budget, seed, operator):
     """Stage-2 standard error alone, rebuilt from the estimator's streams."""
     env_state = iso.env_state(maximally_mixed(iso.n))
     spec = tomography(env_state, budget.tomography_shots, child_rng(seed, 0)).estimate.spectral()
-    composite = np.kron(obs.matrix, operator(spec))
     _, se = measure_observable_with_stderr(
-        iso.output_state(rho), composite, budget.observable_shots, child_rng(seed, 1)
+        iso.output_state(rho), (obs, operator(spec)), budget.observable_shots, child_rng(seed, 1)
     )
     return se, spec
 

@@ -80,6 +80,17 @@ class TestCliContract:
         assert err.value.code == 64
         assert "--trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "experiment, n", [("separation", "3..2"), ("moment", "abc"), ("moment", "2..1")]
+    )
+    def test_bad_n_exits_64(self, tmp_path, capsys, experiment, n):
+        out = tmp_path / "result.json"
+        with pytest.raises(SystemExit) as err:
+            main([experiment, "--n", n, "--trials", "1", "--jobs", "1", "--out", str(out)])
+        assert err.value.code == 64
+        assert "--n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_subcommand_exits_64(self):
         assert main([]) == 64
 

@@ -62,6 +62,13 @@ class TestBlindEstimation:
         assert abs(res.all_rounds_mean - res.all_rounds_truth) < 0.05
         assert abs(res.keep_fraction - 0.5) <= 0.02
 
+    def test_fixed_seed_values(self):
+        u = haar_unitary(8, child_rng(119))
+        res = run_blind_estimation(u, Observable(pauli_on(3, 0, PAULI_Z)), 2000, seed=9)
+        assert abs(res.client_estimate - 0.3745173745173745) < 1e-12
+        assert abs(res.all_rounds_mean - 0.234) < 1e-12
+        assert res.kept_rounds == 1036
+
     def test_blindness_of_server_view(self):
         u = haar_unitary(8, child_rng(114))
         obs = Observable(pauli_on(3, 1, PAULI_X))

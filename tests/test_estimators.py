@@ -23,7 +23,13 @@ from puriscope import (
     sample_ensemble,
 )
 from puriscope.core import PAULI_X, PAULI_Z, kron_all, pauli_on
-from puriscope.errors import DomainError, GapError, GuardError, PreconditionError
+from puriscope.errors import (
+    DomainError,
+    GapError,
+    GuardError,
+    InsufficientDataError,
+    PreconditionError,
+)
 from puriscope.estimators import (
     bipartite_expectation,
     eigenstate_factor_exact,
@@ -255,7 +261,7 @@ class TestEstimateQfi:
         stage2 = child_rng(seed, 1)
         parts = []
         for flip in flip_observables(spec.eigenvectors[:, 0], spec.eigenvectors[:, 1]):
-            mean, se = measure_observable_with_stderr(psi, np.kron(obs.matrix, flip), 2_000, stage2)
+            mean, se = measure_observable_with_stderr(psi, (obs, flip), 2_000, stage2)
             parts.append(2 * prefactor * mean * se)
         assert np.isfinite(report.stderr)
         assert report.stderr > np.hypot(*parts)
@@ -295,6 +301,38 @@ class TestEstimateQfi:
         obs = Observable(pauli_on(2, 0, PAULI_X))
         with pytest.raises(PreconditionError):
             estimate_qfi(psi, obs, ShotBudget(1_000, 1_000), seed=15)
+
+    def test_clipped_eigenvalue_is_insufficient_data(self):
+        # 12 tomography shots reconstruct the 0.03 eigenvalue as exactly 0,
+        # so a prefactor divides by zero; the pipeline refuses the inf.
+        spec = EnsembleSpec(EnsembleFamily.RANDOM_RANK_R, 2, rank=2, weights=(0.97, 0.03))
+        psi = purify(sample_ensemble(spec, child_rng(130)).rho, 1)
+        obs = Observable(pauli_on(2, 0, PAULI_X))
+        rho_b_hat = tomography(partial_trace(psi, "B"), 12, child_rng(1, 0)).estimate
+        assert rho_b_hat.spectral().eigenvalues[1] == 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(InsufficientDataError):
+                estimate_qfi(
+                    psi, obs, ShotBudget(12, 400), seed=1, min_eigenvalue=0.01, min_gap=0.01
+                )
+
+
+class TestProductStageTwo:
+    def test_mean_ignores_roundoff_in_b_operator(self):
+        # A roundoff-level change of g barely moves its 2 x 2 eigenbasis, so
+        # the product-basis counts stay the same at nB = 1.  The dense eigh
+        # of X (x) g picked another basis inside its degenerate blocks.
+        rng = child_rng(131)
+        psi = purify(rank2_state(3, rng, weights=(0.7, 0.3)), 1)
+        obs = Observable(pauli_on(3, 0, PAULI_X))
+        for trial in range(10):
+            v = haar_unitary(2, rng)
+            h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            for g in flip_observables(v[:, 0], v[:, 1]):
+                nudged = g + 1e-15 * (h + h.conj().T) / 2
+                first = measure_observable_with_stderr(psi, (obs, g), 500, child_rng(132, trial))
+                second = measure_observable_with_stderr(psi, (obs, nudged), 500, child_rng(132, trial))
+                assert abs(first[0] - second[0]) < 1e-12
 
 
 class TestMomentScaleInvariance:

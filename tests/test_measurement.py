@@ -16,7 +16,7 @@ from puriscope import (
     tomography,
     trace_norm,
 )
-from puriscope.core import HADAMARD, PAULI_X, PAULI_Y, PAULI_Z
+from puriscope.core import HADAMARD, PAULI_X, PAULI_Y, PAULI_Z, kron_all
 from puriscope.errors import (
     DimensionError,
     DomainError,
@@ -88,8 +88,28 @@ class TestMeasureObservable:
 
     def test_dimension_mismatch(self):
         state = PureState(np.array([1.0, 0]), 1)
+        for observable in (np.eye(4, dtype=complex), (PAULI_Z, PAULI_Z)):
+            with pytest.raises(DimensionError):
+                measure_observable(state, observable, 10, child_rng(5))
         with pytest.raises(DimensionError):
-            measure_observable(state, np.eye(4, dtype=complex), 10, child_rng(5))
+            measure_in_basis(state, (np.eye(2), np.eye(2)), 10, child_rng(5))
+
+    def test_product_outcomes_are_eigenvalue_products(self):
+        # |0>|+> is an eigenstate of Z (x) X with eigenvalue +1, of Z (x) Z with mean 0.
+        state = PureState(np.array([1, 1, 0, 0]) / np.sqrt(2), 2)
+        mean, se = measure_observable_with_stderr(state, (PAULI_Z, PAULI_X), 50, child_rng(39))
+        assert (mean, se) == (1.0, 0.0)
+        mean, _ = measure_observable_with_stderr(state, (PAULI_Z, PAULI_Z), 20_000, child_rng(40))
+        assert abs(mean) < 0.03
+
+    def test_product_matches_dense_expectation(self):
+        rng = child_rng(41)
+        rho = mixed_state(3, 2, rng)
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        a = (a + a.conj().T) / 2
+        truth = rho.expectation(np.kron(a, PAULI_Y))
+        mean, se = measure_observable_with_stderr(rho, (Observable(a), PAULI_Y), 40_000, child_rng(42))
+        assert abs(mean - truth) < 4 * se
 
     def test_zero_shots(self):
         state = PureState(np.array([1.0, 0]), 1)
@@ -128,6 +148,19 @@ class TestMeasureInBasis:
         born = np.abs(basis.conj().T @ state.amplitudes) ** 2
         tv = 0.5 * np.abs(counts / 100_000 - born).sum()
         assert tv < 0.05
+
+    def test_factor_tuple_matches_dense_product_basis(self):
+        rng = child_rng(37)
+        for dims in ((8,), (2, 4), (4, 2), (2, 2, 2), (2, 8, 2)):
+            n = int(np.log2(np.prod(dims)))
+            factors = tuple(haar_unitary(d, rng) for d in dims)
+            dense = kron_all(*factors)
+            z = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
+            for state in (PureState(z / np.linalg.norm(z), n), mixed_state(n, 3, rng)):
+                rho = state.density().matrix if isinstance(state, PureState) else state.matrix
+                reference = np.real(np.einsum("ik,ij,jk->k", dense.conj(), rho, dense))
+                probs = born_probabilities(state, factors)
+                assert np.abs(probs - reference).max() < 1e-12
 
 
 class TestTomography:
