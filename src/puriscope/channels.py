@@ -178,14 +178,14 @@ def maximally_mixed(n: int) -> DensityMatrix:
     return DensityMatrix(np.eye(d) / d, n)
 
 
-def canonicalize(channel: QuantumChannel, rank_tol: float = 1e-9) -> StinespringIsometry:
+def canonicalize(channel: QuantumChannel) -> StinespringIsometry:
     """Canonical Kraus form and dilation from the Choi eigendecomposition.
 
-    Choi eigenvalues below rank_tol (relative) are dropped; the kept
+    Choi eigenvalues below core.DEFAULT_RANK_TOL (relative) are dropped; the kept
     weights are renormalized and the ancilla takes ceil(log2 rank) qubits.
     """
     choi = channel.choi()
-    spec = eigh(choi, rank_tol)
+    spec = eigh(choi)
     r = spec.rank
     if r < 1:
         raise ValidationError("channel has an empty Choi support")

@@ -7,8 +7,13 @@ Conventions used throughout the package:
 * Bipartite registers store system A first, system B last; the amplitude
   vector of a :class:`PureState` reshapes to a ``(2**nA, 2**nB)`` matrix
   whose rows are A indices.
-* Eigenvector global phase is fixed by making the largest-magnitude
-  component real and positive, so decompositions are reproducible.
+* Every :class:`DensityMatrix` and :class:`Observable` is diagonalised
+  once, at construction, by :func:`eigh`, and carries that canonical
+  spectrum: eigenvalues descending, each eigenvector's largest-magnitude
+  component real and positive, and the columns of a degenerate block in
+  lexicographic order, so decompositions are reproducible.
+* Ranks count the eigenvalues above the fixed ``DEFAULT_RANK_TOL``
+  (1e-9) relative to the largest magnitude.
 * ``trace_norm`` is the un-halved trace norm ``sum |eigenvalues|``; all
   perturbation-bound checks use that convention.  ``trace_distance``
   returns the halved distance by default and exposes the un-halved one
@@ -70,13 +75,17 @@ def is_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
     return bool(np.abs(m - m.conj().T).max() <= atol * scale)
 
 
-def _fix_phase(column: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the largest-magnitude entry is real positive."""
-    k = int(np.argmax(np.abs(column)))
-    pivot = column[k]
-    if np.abs(pivot) < 1e-15:
-        return column
-    return column * (pivot.conj() / np.abs(pivot))
+def _column_phases(v: np.ndarray) -> np.ndarray:
+    """Unit phases that make each column's largest-magnitude entry real positive.
+
+    A column whose pivot is below 1e-15 in magnitude keeps phase 1.
+    """
+    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    magnitudes = np.abs(pivots)
+    phases = np.ones(v.shape[1], dtype=complex)
+    big = magnitudes >= 1e-15
+    phases[big] = pivots[big].conj() / magnitudes[big]
+    return phases
 
 
 @dataclass(frozen=True)
@@ -128,42 +137,39 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian PSD trace-1 matrix with a lazily cached spectral decomposition."""
+    """Hermitian PSD trace-1 matrix, diagonalised once at construction."""
 
     matrix: np.ndarray
     n: int
+    _spectrum: "SpectralDecomposition" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         d = 2 ** self.n
         if m.shape != (d, d):
             raise ValidationError(f"matrix shape {m.shape} != ({d}, {d}) for n={self.n}")
-        if not is_hermitian(m, HERMITICITY_ATOL):
-            raise ValidationError("density matrix is not Hermitian within 1e-10")
+        spectrum = eigh(m)
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValidationError(f"trace {tr} deviates from 1 beyond {TRACE_ATOL}")
-        lo = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
+        lo = float(spectrum.eigenvalues[-1])
         if lo < -PSD_ATOL:
             raise ValidationError(f"minimum eigenvalue {lo} below -{PSD_ATOL}")
         object.__setattr__(self, "matrix", _freeze(m))
-        object.__setattr__(self, "_spectral_cache", [None])
+        object.__setattr__(self, "_spectrum", spectrum)
 
     @property
     def dim(self) -> int:
         return 2 ** self.n
 
-    def spectral(self, rank_tol: float = DEFAULT_RANK_TOL) -> "SpectralDecomposition":
-        cache = self.__dict__["_spectral_cache"]
-        if cache[0] is None or cache[0].rank_tol != rank_tol:
-            cache[0] = eigh(self.matrix, rank_tol=rank_tol)
-        return cache[0]
+    def spectral(self) -> "SpectralDecomposition":
+        return self._spectrum
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
-    def rank(self, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-        return self.spectral(rank_tol).rank
+    def rank(self) -> int:
+        return self._spectrum.rank
 
     def expectation(self, observable: np.ndarray) -> float:
         return float(np.real(np.trace(observable @ self.matrix)))
@@ -175,7 +181,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    rank_tol: float = DEFAULT_RANK_TOL
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", _freeze(np.asarray(self.eigenvalues, dtype=float)))
@@ -183,11 +188,11 @@ class SpectralDecomposition:
 
     @property
     def rank(self) -> int:
-        """Number of eigenvalues above rank_tol relative to the largest magnitude."""
+        """Number of eigenvalues above DEFAULT_RANK_TOL times the largest magnitude."""
         scale = float(np.abs(self.eigenvalues).max()) if self.eigenvalues.size else 0.0
         if scale == 0.0:
             return 0
-        return int(np.sum(self.eigenvalues > self.rank_tol * scale))
+        return int(np.sum(self.eigenvalues > DEFAULT_RANK_TOL * scale))
 
     def support(self, declared_rank: int | None = None) -> np.ndarray:
         """Indices of nonzero eigenvalues, thresholded or by declared rank."""
@@ -213,12 +218,16 @@ class SpectralDecomposition:
         return self.apply(lambda w: w)
 
 
-def eigh(matrix: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> SpectralDecomposition:
+def eigh(matrix: np.ndarray) -> SpectralDecomposition:
     """Hermitian eigendecomposition with descending, canonically ordered output.
 
-    Eigenvector phases are fixed and, inside a degenerate block, columns are
-    ordered lexicographically by their rounded coefficients so the result is
-    deterministic given the input bytes.
+    The one place that validates and diagonalises a Hermitian matrix:
+    :class:`DensityMatrix` and :class:`Observable` call it once, at
+    construction, and keep the result.  Eigenvector phases are fixed and,
+    inside a degenerate block, columns are ordered lexicographically by
+    their interleaved (real, imag) coefficients rounded to 10 decimals, so
+    the result is deterministic given the input bytes.  The returned rank
+    uses the fixed ``DEFAULT_RANK_TOL``.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -230,67 +239,57 @@ def eigh(matrix: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> SpectralDeco
     order = np.argsort(-w, kind="stable")
     w = w[order]
     v = v[:, order]
-    for j in range(v.shape[1]):
-        v[:, j] = _fix_phase(v[:, j])
+    v *= _column_phases(v)
 
-    # Deterministic tie-break inside (near-)degenerate blocks.
+    # Deterministic tie-break inside (near-)degenerate blocks: a block runs
+    # while eigenvalues stay within tie_tol of its first one.
     scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
     tie_tol = 1e-12 * scale
+    values = w.tolist()
     start = 0
-    while start < w.size:
+    while start < len(values):
         stop = start + 1
-        while stop < w.size and abs(w[stop] - w[start]) <= tie_tol:
+        while stop < len(values) and abs(values[stop] - values[start]) <= tie_tol:
             stop += 1
         if stop - start > 1:
             block = v[:, start:stop]
-            keys = [
-                tuple(np.round(np.column_stack([col.real, col.imag]).ravel(), 10))
-                for col in block.T
-            ]
-            perm = sorted(range(stop - start), key=lambda j: keys[j])
-            v[:, start:stop] = block[:, perm]
+            # numpy orders complex keys by (real, imag), so the keys v_0, v_1, ...
+            # (lexsort's primary key is its last) compare re(v_0), im(v_0), re(v_1), ...
+            v[:, start:stop] = block[:, np.lexsort(np.round(block, 10)[::-1])]
         start = stop
-    return SpectralDecomposition(w, v, rank_tol)
+    return SpectralDecomposition(w, v)
 
 
 @dataclass(frozen=True)
 class Observable:
-    """Hermitian matrix with cached spectral norm and measurement basis."""
+    """Hermitian matrix, diagonalised once at construction for its measurement basis."""
 
     matrix: np.ndarray
     spectral_norm: float = field(init=False)
+    _spectrum: SpectralDecomposition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"observable must be square, got shape {m.shape}")
-        if not is_hermitian(m, HERMITICITY_ATOL):
-            raise ValidationError("observable is not Hermitian within 1e-10")
+        spectrum = eigh(m)
         object.__setattr__(self, "matrix", _freeze(m))
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        object.__setattr__(self, "spectral_norm", float(np.abs(w).max()))
-        object.__setattr__(self, "_basis_cache", [None])
+        object.__setattr__(self, "spectral_norm", float(np.abs(spectrum.eigenvalues).max()))
+        object.__setattr__(self, "_spectrum", spectrum)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     def spectral(self) -> SpectralDecomposition:
-        cache = self.__dict__["_basis_cache"]
-        if cache[0] is None:
-            cache[0] = eigh(self.matrix)
-        return cache[0]
+        return self._spectrum
 
 
 StateLike = Union[PureState, DensityMatrix]
 
 
-def _qubit_count(state: StateLike) -> int:
-    return state.n
-
-
 def _resolve_keep(state: StateLike, keep) -> tuple[int, ...]:
-    n = _qubit_count(state)
+    n = state.n
     if isinstance(keep, str):
         if not isinstance(state, PureState):
             raise DimensionError("selector 'A'/'B' requires a PureState with a declared split")
@@ -316,7 +315,7 @@ def partial_trace(state: StateLike, keep) -> DensityMatrix:
     the string "A" or "B".
     """
     idx = _resolve_keep(state, keep)
-    n = _qubit_count(state)
+    n = state.n
 
     if isinstance(state, PureState):
         # Fast path for the contiguous A/B split.
@@ -365,7 +364,7 @@ class SchmidtDecomposition:
         return amps.reshape(-1)
 
 
-def schmidt_decompose(state: PureState, rank_tol: float = DEFAULT_RANK_TOL) -> SchmidtDecomposition:
+def schmidt_decompose(state: PureState) -> SchmidtDecomposition:
     """Schmidt decomposition across the declared A/B split.
 
     Coefficients are the shared marginal eigenvalues, sorted descending;
@@ -381,16 +380,9 @@ def schmidt_decompose(state: PureState, rank_tol: float = DEFAULT_RANK_TOL) -> S
     # rho_B are the conjugated right singular vectors).  Lock the pair
     # phase: rotating the A column rotates the partner row oppositely,
     # keeping u @ diag(s) @ vh invariant.
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        k = int(np.argmax(np.abs(col)))
-        pivot = col[k]
-        if np.abs(pivot) > 1e-15:
-            phase = pivot.conj() / np.abs(pivot)
-            u[:, j] = col * phase
-            vh[j, :] = vh[j, :] * phase.conj()
-    a = SpectralDecomposition(coeffs, u, rank_tol)
-    b = SpectralDecomposition(coeffs, vh.T.copy(), rank_tol)
+    phases = _column_phases(u)
+    a = SpectralDecomposition(coeffs, u * phases)
+    b = SpectralDecomposition(coeffs, (vh * phases.conj()[:, None]).T)
     return SchmidtDecomposition(_freeze(coeffs), a, b)
 
 

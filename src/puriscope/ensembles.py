@@ -298,18 +298,12 @@ def purify(rho: DensityMatrix, nB: int) -> PureState:
     if 2 ** nB < r:
         raise CapacityError(f"2**{nB} ancilla levels cannot hold rank {r}")
     lam = np.clip(spec.eigenvalues[:r], 0.0, None)
-    dB = 2 ** nB
-    amps = np.zeros(rho.dim * dB, dtype=complex)
-    for j in range(r):
-        amps += np.sqrt(lam[j]) * np.kron(spec.eigenvectors[:, j], _unit(dB, j))
+    amps = np.zeros((rho.dim, 2 ** nB), dtype=complex)  # row index: A, column: B
+    # Add onto +0.0 rather than assign, so no -0.0 entry of the eigenvectors
+    # reaches the state (tests compare its bytes with the term-by-term sum).
+    amps[:, :r] += spec.eigenvectors[:, :r] * np.sqrt(lam)
     amps = amps / np.linalg.norm(amps)
     return PureState(amps, rho.n, nB)
-
-
-def _unit(dim: int, index: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
 
 
 def classical_correlate(rho: DensityMatrix, nB: int) -> DensityMatrix:
@@ -324,14 +318,13 @@ def classical_correlate(rho: DensityMatrix, nB: int) -> DensityMatrix:
         raise CapacityError(f"2**{nB} ancilla levels cannot hold rank {r}")
     lam = np.clip(spec.eigenvalues[:r], 0.0, None)
     lam = lam / lam.sum()
-    dB = 2 ** nB
-    out = np.zeros((rho.dim * dB, rho.dim * dB), dtype=complex)
+    d, dB = rho.dim, 2 ** nB
+    out = np.zeros((d, dB, d, dB), dtype=complex)  # indices (A, B, A', B')
     for j in range(r):
-        proj_a = np.outer(spec.eigenvectors[:, j], spec.eigenvectors[:, j].conj())
-        proj_b = np.zeros((dB, dB), dtype=complex)
-        proj_b[j, j] = 1.0
-        out += lam[j] * np.kron(proj_a, proj_b)
-    return DensityMatrix(out, rho.n + nB)
+        vec = spec.eigenvectors[:, j]
+        # Add onto +0.0, as in purify: no -0.0 entries.
+        out[:, j, :, j] += lam[j] * np.outer(vec, vec.conj())
+    return DensityMatrix(out.reshape(d * dB, d * dB), rho.n + nB)
 
 
 def verification_state(alpha: float, u_prep: np.ndarray, v_prep: np.ndarray) -> PureState:
@@ -355,6 +348,6 @@ def verification_state(alpha: float, u_prep: np.ndarray, v_prep: np.ndarray) -> 
     if 2 ** nA != d:
         raise DimensionError(f"payload dimension {d} is not a power of two")
     beta = np.sqrt(max(0.0, 1.0 - alpha ** 2))
-    amps = alpha * np.kron(u_col, _unit(2, 0)) + beta * np.kron(v_col, _unit(2, 1))
+    amps = alpha * np.kron(u_col, basis_state(1, 0)) + beta * np.kron(v_col, basis_state(1, 1))
     amps = amps / np.linalg.norm(amps)
     return PureState(amps, nA, 1)

@@ -10,13 +10,13 @@ pure functions of (inputs, seed).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .core import (
+    DEFAULT_RANK_TOL,
     DensityMatrix,
     Observable,
     PureState,
@@ -112,7 +112,6 @@ def oracle_identity_check(
     observable: Optional[Observable] = None,
     pair: tuple[int, int] = (0, 1),
     nA: Optional[int] = None,
-    rank_tol: float = 1e-9,
 ) -> float:
     """Exact deviation between the two sides of a steering identity.
 
@@ -135,14 +134,14 @@ def oracle_identity_check(
         rhs = rho_a.spectral().apply(lambda w: np.clip(w, 0, None) ** t)
         return trace_norm(lhs - rhs)
 
-    spec_b = rho_b.spectral(rank_tol)
+    spec_b = rho_b.spectral()
     if kind is PurificationIdentity.PRINCIPAL_STEERING:
-        if spec_b.gap <= rank_tol:
+        if spec_b.gap <= DEFAULT_RANK_TOL:
             raise GapError(f"principal eigenvalue is degenerate (gap {spec_b.gap})")
         lam0 = spec_b.eigenvalues[0]
         psi_b0 = spec_b.eigenvectors[:, 0]
         lhs = _steer(state, nA, nB, np.outer(psi_b0, psi_b0.conj())) / lam0
-        spec_a = rho_a.spectral(rank_tol)
+        spec_a = rho_a.spectral()
         psi_a0 = spec_a.eigenvectors[:, 0]
         rhs = np.outer(psi_a0, psi_a0.conj())
         return trace_norm(lhs - rhs)
@@ -155,7 +154,7 @@ def oracle_identity_check(
     lam_j, lam_k = spec_b.eigenvalues[j], spec_b.eigenvalues[k]
     flip = np.outer(spec_b.eigenvectors[:, j], spec_b.eigenvectors[:, k].conj())
     lhs = _steer(state, nA, nB, flip) / np.sqrt(lam_j * lam_k)
-    spec_a = rho_a.spectral(rank_tol)
+    spec_a = rho_a.spectral()
     rhs = np.outer(spec_a.eigenvectors[:, k], spec_a.eigenvectors[:, j].conj())
     # The A-side eigenvectors carry their own phase convention; align the
     # one free global phase before differencing.
@@ -337,25 +336,6 @@ def estimate_pca(
     return report
 
 
-@dataclass(frozen=True)
-class QfiTermTable:
-    """Per-pair bookkeeping of the reformulated Fisher-information sum.
-
-    Each row holds (j, k, lambda_j, lambda_k, prefactor, eigenstate_factor)
-    for an unordered pair of nonzero eigenvalues; the estimate sums
-    2 * prefactor * eigenstate_factor over the rows, covering both orderings.
-    """
-
-    pairs: tuple[tuple[int, int, float, float, float, float], ...]
-    support_rank: int
-
-    def to_json(self) -> dict:
-        return {
-            "support_rank": self.support_rank,
-            "pairs": [list(row) for row in self.pairs],
-        }
-
-
 def _qfi_prefactor(lam_j: float, lam_k: float) -> float:
     return (lam_j - lam_k) ** 2 / (lam_j * lam_k * (lam_j + lam_k))
 
@@ -408,7 +388,7 @@ def qfi_oracle(rho: DensityMatrix, observable: Observable, mode: str = "support_
     spec = rho.spectral()
     lam = np.clip(spec.eigenvalues, 0.0, None)
     d = lam.size
-    tol = spec.rank_tol * max(lam.max(), 1e-300)
+    tol = DEFAULT_RANK_TOL * max(lam.max(), 1e-300)
     mat = spec.eigenvectors.conj().T @ observable.matrix @ spec.eigenvectors
     num = (lam[:, None] - lam[None, :]) ** 2
     den = lam[:, None] + lam[None, :]
@@ -435,7 +415,10 @@ def estimate_qfi(
     factor measured through the two flip observables; unordered pairs
     enter with multiplicity 2.  The report's truth is the support-QFI
     oracle, with the full-QFI oracle recorded separately because the
-    protocol cannot see support/null cross terms.
+    protocol cannot see support/null cross terms.  ``extras["term_table"]``
+    has one row [j, k, lambda_j, lambda_k, prefactor, eigenstate_factor]
+    per unordered pair of nonzero eigenvalues; the estimate sums
+    2 * prefactor * eigenstate_factor over the rows.
     """
     _guard_psi(psi)
     _guard_observable(observable, 2 ** psi.nA)
@@ -476,10 +459,10 @@ def estimate_qfi(
     for (j, k), m_plus, m_minus in zip(pairs, means[0::2], means[1::2]):
         prefactor = float(_qfi_prefactor(lam[j], lam[k]))
         factor = 0.5 * (m_plus ** 2 + m_minus ** 2)
-        rows.append((j, k, float(lam[j]), float(lam[k]), prefactor, factor))
+        rows.append([j, k, float(lam[j]), float(lam[k]), prefactor, factor])
     report.extras = {
         "full_qfi_oracle": qfi_oracle(rho_a, observable, "full"),
         "support_rank": r,
-        "term_table": QfiTermTable(tuple(rows), r).to_json(),
+        "term_table": {"support_rank": r, "pairs": rows},
     }
     return report

@@ -18,7 +18,7 @@ from puriscope import (
     virtual_distillation_estimate,
 )
 from puriscope.channels import maximally_mixed
-from puriscope.core import PAULI_X, PAULI_Z, trace_norm
+from puriscope.core import PAULI_X, PAULI_Z, pauli_on, trace_norm
 from puriscope.errors import DomainError, GapError, GuardError, ValidationError
 from puriscope.measurement import measure_observable_with_stderr, tomography
 
@@ -287,6 +287,29 @@ class TestChannelPca:
         rho = maximally_mixed(1)
         with pytest.raises(GapError):
             channel_pca_estimate(iso, rho, Observable(PAULI_Z), ShotBudget(1000, 1000), seed=10)
+
+
+# (estimator, n, value, stderr) for a Choi-rank-2 random channel on |0><0|,
+# observable Z on qubit 0, at a 2e4/2e4 budget.
+STAGE_TWO_PINS = [
+    ("distill", 1, 0.315013166519347, 0.0065417938881511895),
+    ("pca", 1, 0.533429874523806, 0.012798960151130603),
+    ("distill", 2, 0.2568938060476523, 0.0035609392601050204),
+    ("pca", 2, 0.3370212732731062, 0.012333090946621938),
+]
+
+
+class TestStageTwoFixedSeedValues:
+    @pytest.mark.parametrize("kind,n,value,stderr", STAGE_TWO_PINS)
+    def test_value_and_stderr(self, kind, n, value, stderr):
+        iso = canonicalize(random_channel(n, 2, child_rng(161, n)))
+        d = 2 ** n
+        rho = DensityMatrix(np.diag([1.0] + [0.0] * (d - 1)).astype(complex), n)
+        obs = Observable(pauli_on(n, 0, PAULI_Z))
+        estimator = virtual_distillation_estimate if kind == "distill" else channel_pca_estimate
+        report = estimator(iso, rho, obs, ShotBudget(20_000, 20_000), seed=20 + n)
+        assert abs(report.value - value) < 1e-12
+        assert abs(report.stderr - stderr) < 1e-12
 
 
 class TestStandardChannels:

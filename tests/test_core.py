@@ -216,6 +216,97 @@ class TestEigh:
             spec.support(declared_rank=0)
 
 
+def _reference_fix_phase(column):
+    """Per-column loop form of eigh's phase convention."""
+    pivot = column[int(np.argmax(np.abs(column)))]
+    if np.abs(pivot) < 1e-15:
+        return column
+    return column * (pivot.conj() / np.abs(pivot))
+
+
+def _reference_eigh(matrix):
+    """Loop form of eigh: per-column phases, tuple-sorted degenerate blocks."""
+    m = np.asarray(matrix, dtype=complex)
+    w, v = np.linalg.eigh((m + m.conj().T) / 2)
+    v = v.astype(complex)
+    order = np.argsort(-w, kind="stable")
+    w, v = w[order], v[:, order]
+    for j in range(v.shape[1]):
+        v[:, j] = _reference_fix_phase(v[:, j])
+    tie_tol = 1e-12 * max(1.0, float(np.abs(w).max()))
+    start = 0
+    while start < w.size:
+        stop = start + 1
+        while stop < w.size and abs(w[stop] - w[start]) <= tie_tol:
+            stop += 1
+        block = v[:, start:stop]
+        keys = [tuple(np.round(np.column_stack([c.real, c.imag]).ravel(), 10)) for c in block.T]
+        v[:, start:stop] = block[:, sorted(range(stop - start), key=lambda j: keys[j])]
+        start = stop
+    return w, v
+
+
+def _assert_matches_reference(m):
+    spec = eigh(m)
+    w, v = _reference_eigh(m)
+    np.testing.assert_array_equal(spec.eigenvalues, w)
+    np.testing.assert_array_equal(spec.eigenvectors, v)
+
+
+class TestEighMatchesLoopReference:
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    @pytest.mark.parametrize("pauli", ["Z", "X"])
+    def test_embedded_pauli(self, n, pauli):
+        for qubit in sorted({0, n - 1}):
+            _assert_matches_reference(pauli_on(n, qubit, PAULI_Z if pauli == "Z" else PAULI_X))
+
+    def test_rank2_density_with_254_fold_null_block(self):
+        _assert_matches_reference(random_density(8, 2, child_rng(150), weights=[0.7, 0.3]).matrix)
+
+    def test_maximally_mixed(self):
+        _assert_matches_reference(np.eye(4) / 4)
+
+    def test_random_nondegenerate(self):
+        z = child_rng(151).standard_normal((32, 32, 2)) @ np.array([1, 1j])
+        _assert_matches_reference((z + z.conj().T) / 2)
+
+    def test_schmidt_phase_lock(self):
+        psi = haar_state(6, child_rng(152)).resplit(4)
+        u, s, vh = np.linalg.svd(psi.as_matrix(), full_matrices=False)
+        for j in range(u.shape[1]):
+            pivot = u[int(np.argmax(np.abs(u[:, j]))), j]
+            phase = pivot.conj() / np.abs(pivot)
+            u[:, j] = u[:, j] * phase
+            vh[j, :] = vh[j, :] * phase.conj()
+        sd = schmidt_decompose(psi)
+        np.testing.assert_array_equal(sd.a_side.eigenvectors, u)
+        np.testing.assert_array_equal(sd.b_side.eigenvectors, vh.T)
+        reference = np.einsum("j,aj,bj->ab", np.sqrt(s ** 2), u, vh.T).reshape(-1)
+        np.testing.assert_array_equal(sd.reassemble(), reference)
+
+
+class TestOneDiagonalisation:
+    def test_constructor_diagonalises_once(self, monkeypatch):
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        rho = random_density(3, 2, child_rng(153))
+        obs = Observable(pauli_on(3, 1, PAULI_X))
+        assert calls == {"eigh": 2, "eigvalsh": 0}
+        for _ in range(3):
+            assert rho.spectral() is rho.spectral()
+            assert rho.rank() == 2
+            assert obs.spectral() is obs.spectral()
+            assert obs.spectral_norm == 1.0
+        assert calls == {"eigh": 2, "eigvalsh": 0}
+
+
 class TestMomentTrace:
     def test_maximally_mixed(self):
         rho = DensityMatrix(np.eye(2) / 2, 1)

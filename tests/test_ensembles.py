@@ -116,7 +116,7 @@ class TestSampleEnsemble:
     def test_rank_and_hidden_reconstruction(self, family, n):
         spec = EnsembleSpec(family, n)
         sample = sample_ensemble(spec, child_rng(20, hash(family.value) % 1000))
-        assert sample.rho.rank(1e-9) == spec.declared_rank
+        assert sample.rho.rank() == spec.declared_rank
         rebuilt = np.zeros_like(sample.rho.matrix)
         for w, vec in zip(sample.hidden["weights"], sample.hidden["components"]):
             rebuilt += w * np.outer(vec, vec.conj())
@@ -269,6 +269,49 @@ class TestClassicalCorrelate:
             assert abs(b_marginal.purity() - rho.purity()) < 1e-10
             a_marginal = partial_trace(out, [0, 1])
             assert trace_distance(a_marginal, rho, halved=False) < 1e-10
+
+
+def _kron_sum_purify(rho, nB):
+    """Reference purification: sum_j sqrt(lambda_j) |psi_j> (x) |j>, one Kronecker product per term."""
+    spec = rho.spectral()
+    lam = np.clip(spec.eigenvalues[: spec.rank], 0.0, None)
+    amps = np.zeros(rho.dim * 2 ** nB, dtype=complex)
+    for j in range(spec.rank):
+        ket = np.zeros(2 ** nB, dtype=complex)
+        ket[j] = 1.0
+        amps += np.sqrt(lam[j]) * np.kron(spec.eigenvectors[:, j], ket)
+    return amps / np.linalg.norm(amps)
+
+
+def _kron_sum_classical_correlate(rho, nB):
+    """Reference incoherent state: sum_j lambda_j |psi_j><psi_j| (x) |j><j|, term by term."""
+    spec = rho.spectral()
+    lam = np.clip(spec.eigenvalues[: spec.rank], 0.0, None)
+    lam = lam / lam.sum()
+    dB = 2 ** nB
+    out = np.zeros((rho.dim * dB, rho.dim * dB), dtype=complex)
+    for j in range(spec.rank):
+        marker = np.zeros((dB, dB), dtype=complex)
+        marker[j, j] = 1.0
+        out += lam[j] * np.kron(np.outer(spec.eigenvectors[:, j], spec.eigenvectors[:, j].conj()), marker)
+    return out
+
+
+class TestBlockFillMatchesKronSum:
+    # Byte equality, so the sign of every zero entry must match too.
+    @pytest.mark.parametrize("case", ["diagonal", "vc_pca", "rank3"])
+    def test_bytes_equal(self, case):
+        if case == "diagonal":
+            rho = DensityMatrix(np.diag([0.0, 0.3, 0.7, 0.0]).astype(complex), 2)
+        elif case == "vc_pca":
+            rho = sample_ensemble(EnsembleSpec(EnsembleFamily.VC_PCA_S1, 4), child_rng(36)).rho
+        else:
+            u = haar_unitary(8, child_rng(37))
+            rho = DensityMatrix((u[:, :3] * [0.5, 0.3, 0.2]) @ u[:, :3].conj().T, 3)
+        for nB in (2, 3):
+            assert purify(rho, nB).amplitudes.tobytes() == _kron_sum_purify(rho, nB).tobytes()
+            expected = _kron_sum_classical_correlate(rho, nB)
+            assert classical_correlate(rho, nB).matrix.tobytes() == expected.tobytes()
 
 
 class TestVerificationState:

@@ -335,6 +335,41 @@ class TestProductStageTwo:
                 assert abs(first[0] - second[0]) < 1e-12
 
 
+# (estimator, nA, nB, value, stderr) on a rank-2 random_rank_r sample with
+# weights (2/3, 1/3), purified into nB qubits, at a 1e4/1e4 budget.
+STAGE_TWO_PINS = [
+    ("cooling", 2, 1, -0.04785935450639816, 0.008825743626612823),
+    ("pca", 2, 1, -0.1421647456069164, 0.028823408349913412),
+    ("qfi", 2, 1, 0.5250230957505443, 0.05611042933421712),
+    ("cooling", 2, 2, 0.17314586642068458, 0.00799499890290605),
+    ("pca", 2, 2, 0.533827593530967, 0.024214181351091577),
+    ("qfi", 2, 2, 0.02682865806358379, 0.006013724697024204),
+    ("cooling", 3, 1, 0.12204355813927037, 0.007058364891710355),
+    ("pca", 3, 1, 0.3252504138997679, 0.019096682969055173),
+    ("qfi", 3, 1, 0.07834190763353528, 0.010766794901066785),
+    ("cooling", 3, 2, 0.006892762567459158, 0.00647755443421426),
+    ("pca", 3, 2, -0.08641430291092995, 0.01682979420949268),
+    ("qfi", 3, 2, 0.00382645819472317, 0.0015372965062060155),
+]
+
+
+class TestStageTwoFixedSeedValues:
+    @pytest.mark.parametrize("kind,nA,nB,value,stderr", STAGE_TWO_PINS)
+    def test_value_and_stderr(self, kind, nA, nB, value, stderr):
+        spec = EnsembleSpec(EnsembleFamily.RANDOM_RANK_R, nA, rank=2, weights=(2 / 3, 1 / 3))
+        psi = purify(sample_ensemble(spec, child_rng(160, nA, nB)).rho, nB)
+        budget = ShotBudget(10_000, 10_000)
+        seed = 10 * nA + nB
+        if kind == "cooling":
+            report = estimate_virtual_cooling(psi, Observable(pauli_on(nA, 0, PAULI_Z)), 2, budget, seed)
+        elif kind == "pca":
+            report = estimate_pca(psi, Observable(pauli_on(nA, 0, PAULI_Z)), budget, seed)
+        else:
+            report = estimate_qfi(psi, Observable(pauli_on(nA, 0, PAULI_X)), budget, seed)
+        assert abs(report.value - value) < 1e-12
+        assert abs(report.stderr - stderr) < 1e-12
+
+
 class TestMomentScaleInvariance:
     def test_error_distribution_indistinguishable_across_n(self):
         from scipy.stats import ks_2samp
