@@ -166,7 +166,8 @@ class DensityMatrix:
         return self._spectrum
 
     def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
+        """Tr(rho^2), which for Hermitian rho is sum |rho_ij|^2: O(d^2), no matmul."""
+        return float(np.vdot(self.matrix, self.matrix).real)
 
     def rank(self) -> int:
         return self._spectrum.rank

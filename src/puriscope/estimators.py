@@ -4,7 +4,9 @@ Each protocol has two faces: an exact identity check (the steering
 relations that make the small B register carry the A-side spectrum) and a
 finite-shot estimator that performs tomography on B followed by one
 observable measurement on the full purified register.  All estimators are
-pure functions of (inputs, seed).
+pure functions of (inputs, seed).  Each truth is graded from the A-side
+Schmidt factor (one thin SVD of the d_A x d_B amplitudes), never from a
+d_A x d_A marginal.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from .core import (
     Observable,
     PureState,
     SpectralDecomposition,
-    matrix_power_trace,
     partial_trace,
+    schmidt_decompose,
     steered_operator,
     trace_norm,
 )
@@ -165,8 +167,8 @@ def oracle_identity_check(
 
 
 def _guard_psi(psi: PureState):
-    if psi.nB < 1:
-        raise DomainError("purification estimators need nB >= 1")
+    if psi.nA < 1 or psi.nB < 1:
+        raise DomainError("purification estimators need nA >= 1 and nB >= 1")
     if psi.nB > ANCILLA_GUARD:
         raise GuardError(f"nB = {psi.nB} exceeds the desk-scale guard {ANCILLA_GUARD}")
 
@@ -215,8 +217,8 @@ def _two_stage(
     stage-2 means; a value that is not finite raises
     InsufficientDataError.  ``spectral`` and ``terms`` act on a leading
     resample axis too.  Returns the report, the stage-1 spectrum and the
-    stage-2 means.  The caller fills in the report's truth afterwards, so
-    the oracle's d_A x d_A work never adds to stage 2's memory peak.
+    stage-2 means.  The caller fills in the report's truth afterwards,
+    from the A-side Schmidt factor of ``joint``.
     """
     tomo = tomography(rho_b, budget.tomography_shots, child_rng(seed, 0))
     spec = tomo.estimate.spectral()
@@ -273,7 +275,7 @@ def estimate_moment(psi: PureState, t: int, budget: ShotBudget, seed: int) -> Es
         seed,
         spectral=lambda w: np.sum(np.clip(w, 0.0, None) ** t, axis=-1),
     )[0]
-    report.truth = matrix_power_trace(partial_trace(psi, "A"), t)
+    report.truth = float(np.sum(schmidt_decompose(psi).a_side.eigenvalues ** t))
     return report
 
 
@@ -301,8 +303,10 @@ def estimate_virtual_cooling(
         observable=observable,
         terms=lambda spec: [(1.0, spec.apply(lambda w: np.clip(w, 0.0, None) ** (t - 1)))],
     )[0]
-    power_a = partial_trace(psi, "A").spectral().apply(lambda w: np.clip(w, 0.0, None) ** t)
-    report.truth = float(np.vdot(power_a, observable.matrix).real)  # Tr(O rho_A^t)
+    a_side = schmidt_decompose(psi).a_side
+    v = a_side.eigenvectors
+    diagonal = np.real(np.sum(v.conj() * (observable.matrix @ v), axis=0))  # <v_j|O|v_j>
+    report.truth = float(np.sum(a_side.eigenvalues ** t * diagonal))  # Tr(O rho_A^t)
     return report
 
 
@@ -331,7 +335,7 @@ def estimate_pca(
     report = _two_stage(
         rho_b, budget, seed, joint=psi, observable=observable, terms=lambda spec: [_principal(spec)]
     )[0]
-    psi_a0 = partial_trace(psi, "A").spectral().eigenvectors[:, 0]
+    psi_a0 = schmidt_decompose(psi).a_side.eigenvectors[:, 0]
     report.truth = float(np.real(psi_a0.conj() @ (observable.matrix @ psi_a0)))
     return report
 
@@ -375,28 +379,37 @@ def eigenstate_factor_incoherent(
     return eigenstate_factor_exact(rho_joint, observable, vec_j, vec_k)
 
 
-def qfi_oracle(rho: DensityMatrix, observable: Observable, mode: str = "support_only") -> float:
-    """Exact quantum Fisher information from the spectral decomposition.
+def qfi_oracle(
+    rho: DensityMatrix | SpectralDecomposition, observable: Observable, mode: str = "support_only"
+) -> float:
+    """Exact quantum Fisher information, read from the support columns S of a spectrum.
 
-    ``full`` sums every eigenpair including the null space (a support/null
-    pair contributes lambda_j |<j|O|k>|^2 per ordering); ``support_only``
-    restricts to pairs of nonzero eigenvalues, which is exactly the reach
-    of the purification-assisted reformulation.
+    ``rho`` is a state or its spectral decomposition, possibly thin (the
+    A-side Schmidt factor of a purification).  With S the eigenvalues
+    above the rank tolerance, in O(d^2 |S|) and with no d x d product:
+
+        support_only = 2 sum_{j,k in S} (l_j - l_k)^2 / (l_j + l_k) |O_jk|^2
+        full = support_only + 4 sum_{j in S} l_j (|O v_j|^2 - sum_{k in S} |O_kj|^2)
+
+    ``support_only`` is exactly the reach of the purification-assisted
+    reformulation.  ``full`` adds the support/null pairs (l_j |O_jk|^2 per
+    ordering); the null columns complete S to the identity, so their sum
+    is the norm of O v_j that S leaves over.
     """
     if mode not in ("full", "support_only"):
         raise DomainError(f"unknown mode {mode!r}")
-    spec = rho.spectral()
+    spec = rho if isinstance(rho, SpectralDecomposition) else rho.spectral()
     lam = np.clip(spec.eigenvalues, 0.0, None)
-    d = lam.size
-    tol = DEFAULT_RANK_TOL * max(lam.max(), 1e-300)
-    mat = spec.eigenvectors.conj().T @ observable.matrix @ spec.eigenvectors
-    num = (lam[:, None] - lam[None, :]) ** 2
-    den = lam[:, None] + lam[None, :]
-    ratio = np.divide(num, den, out=np.zeros((d, d)), where=den > tol)
-    if mode == "support_only":
-        keep = lam > tol
-        ratio = ratio * np.outer(keep, keep)
-    return float(2.0 * np.sum(ratio * np.abs(mat) ** 2))
+    keep = lam > DEFAULT_RANK_TOL * max(lam.max(), 1e-300)
+    lam, v = lam[keep], spec.eigenvectors[:, keep]
+    o_v = observable.matrix @ v
+    overlap = np.abs(v.conj().T @ o_v) ** 2  # |O_jk|^2 on S x S
+    ratio = (lam[:, None] - lam[None, :]) ** 2 / (lam[:, None] + lam[None, :])
+    total = 2.0 * np.sum(ratio * overlap)
+    if mode == "full":
+        leftover = np.sum(np.abs(o_v) ** 2, axis=0) - np.sum(overlap, axis=0)
+        total += 4.0 * np.sum(lam * leftover)
+    return float(total)
 
 
 def estimate_qfi(
@@ -452,8 +465,8 @@ def estimate_qfi(
     report, spec, means = _two_stage(
         rho_b, budget, seed, joint=psi, observable=observable, terms=flips, power=2
     )
-    rho_a = partial_trace(psi, "A")
-    report.truth = qfi_oracle(rho_a, observable, "support_only")
+    a_side = schmidt_decompose(psi).a_side
+    report.truth = qfi_oracle(a_side, observable, "support_only")
     lam = spec.eigenvalues
     rows = []
     for (j, k), m_plus, m_minus in zip(pairs, means[0::2], means[1::2]):
@@ -461,7 +474,7 @@ def estimate_qfi(
         factor = 0.5 * (m_plus ** 2 + m_minus ** 2)
         rows.append([j, k, float(lam[j]), float(lam[k]), prefactor, factor])
     report.extras = {
-        "full_qfi_oracle": qfi_oracle(rho_a, observable, "full"),
+        "full_qfi_oracle": qfi_oracle(a_side, observable, "full"),
         "support_rank": r,
         "term_table": {"support_rank": r, "pairs": rows},
     }

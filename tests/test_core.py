@@ -59,6 +59,10 @@ class TestDensityMatrix:
         with pytest.raises(ValidationError):
             DensityMatrix(m, 1)
 
+    def test_purity_matches_dense_trace(self):
+        rho = random_density(8, 3, child_rng(180))
+        assert abs(rho.purity() - float(np.real(np.trace(rho.matrix @ rho.matrix)))) < 1e-14
+
 
 class TestPartialTrace:
     def test_bell_reduces_to_maximally_mixed(self):

@@ -115,7 +115,7 @@ class TestSampleEnsemble:
     )
     def test_rank_and_hidden_reconstruction(self, family, n):
         spec = EnsembleSpec(family, n)
-        sample = sample_ensemble(spec, child_rng(20, hash(family.value) % 1000))
+        sample = sample_ensemble(spec, child_rng(20, list(EnsembleFamily).index(family)))
         assert sample.rho.rank() == spec.declared_rank
         rebuilt = np.zeros_like(sample.rho.matrix)
         for w, vec in zip(sample.hidden["weights"], sample.hidden["components"]):

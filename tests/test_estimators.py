@@ -21,6 +21,7 @@ from puriscope import (
     purify,
     qfi_oracle,
     sample_ensemble,
+    schmidt_decompose,
 )
 from puriscope.core import PAULI_X, PAULI_Z, kron_all, pauli_on
 from puriscope.errors import (
@@ -497,3 +498,127 @@ class TestFlipObservables:
         fast = bipartite_expectation(psi, a_op, b_op)
         full = float(np.real(psi.amplitudes.conj() @ np.kron(a_op, b_op) @ psi.amplitudes))
         assert abs(fast - full) < 1e-12
+
+
+def dense_qfi_oracle(rho, observable, mode):
+    """Reference QFI over every eigenpair of the full d x d spectrum, with V^dag O V."""
+    spec = rho.spectral()
+    lam = np.clip(spec.eigenvalues, 0.0, None)
+    d = lam.size
+    tol = 1e-9 * max(lam.max(), 1e-300)
+    mat = spec.eigenvectors.conj().T @ observable.matrix @ spec.eigenvectors
+    num = (lam[:, None] - lam[None, :]) ** 2
+    den = lam[:, None] + lam[None, :]
+    ratio = np.divide(num, den, out=np.zeros((d, d)), where=den > tol)
+    if mode == "support_only":
+        keep = lam > tol
+        ratio = ratio * np.outer(keep, keep)
+    return float(2.0 * np.sum(ratio * np.abs(mat) ** 2))
+
+
+def random_hermitian(n, rng):
+    z = rng.standard_normal((2 ** n, 2 ** n)) + 1j * rng.standard_normal((2 ** n, 2 ** n))
+    return Observable((z + z.conj().T) / (2 * np.sqrt(2 ** n)))
+
+
+def graded_purification(nA, nB, seed):
+    spec = EnsembleSpec(EnsembleFamily.RANDOM_RANK_R, nA, rank=2, weights=(2 / 3, 1 / 3))
+    return purify(sample_ensemble(spec, child_rng(seed, nA, nB)).rho, nB)
+
+
+class TestQfiOracleMatchesDenseReference:
+    def test_states_of_every_rank(self):
+        for n in range(1, 6):
+            for rank in sorted({1, 2, 2 ** n // 2, 2 ** n} - {0}):
+                rng = child_rng(170, n, rank)
+                u = haar_unitary(2 ** n, rng)
+                w = rng.dirichlet(np.ones(rank))
+                rho = DensityMatrix((u[:, :rank] * w) @ u[:, :rank].conj().T, n)
+                obs = random_hermitian(n, rng)
+                for mode in ("support_only", "full"):
+                    reference = dense_qfi_oracle(rho, obs, mode)
+                    assert abs(qfi_oracle(rho, obs, mode) - reference) < 1e-12, (n, rank, mode)
+
+    def test_thin_schmidt_spectrum(self):
+        # The A-side Schmidt factor has min(d_A, d_B) columns, some of them
+        # outside the support when the rank is below d_B.
+        for nA, nB, rank in [(2, 1, 1), (3, 1, 2), (3, 2, 1), (4, 2, 3), (5, 2, 4), (2, 2, 4)]:
+            rng = child_rng(171, nA, nB, rank)
+            u = haar_unitary(2 ** nA, rng)
+            w = rng.dirichlet(np.ones(rank))
+            psi = purify(DensityMatrix((u[:, :rank] * w) @ u[:, :rank].conj().T, nA), nB)
+            a_side = schmidt_decompose(psi).a_side
+            assert a_side.eigenvectors.shape == (2 ** nA, min(2 ** nA, 2 ** nB))
+            obs = random_hermitian(nA, rng)
+            for mode in ("support_only", "full"):
+                reference = dense_qfi_oracle(partial_trace(psi, "A"), obs, mode)
+                assert abs(qfi_oracle(a_side, obs, mode) - reference) < 1e-12, (nA, nB, rank, mode)
+
+
+class TestTruthFromSchmidtFactor:
+    @pytest.mark.parametrize("nA", [2, 3, 4, 5])
+    @pytest.mark.parametrize("nB", [1, 2])
+    def test_truths_match_dense_marginal(self, nA, nB):
+        psi = graded_purification(nA, nB, 172)
+        rho_a = partial_trace(psi, "A")
+        spec_a = rho_a.spectral()
+        obs = random_hermitian(nA, child_rng(173, nA))
+        budget = ShotBudget(500, 500)
+        for t in (2, 3):
+            report = estimate_moment(psi, t, ShotBudget(tomography_shots=500), seed=1)
+            assert abs(report.truth - float(np.sum(np.clip(spec_a.eigenvalues, 0, None) ** t))) < 1e-12
+            report = estimate_virtual_cooling(psi, obs, t, budget, seed=2)
+            power = spec_a.apply(lambda w: np.clip(w, 0.0, None) ** t)
+            assert abs(report.truth - float(np.real(np.trace(obs.matrix @ power)))) < 1e-12
+        top = spec_a.eigenvectors[:, 0]
+        report = estimate_pca(psi, obs, budget, seed=3)
+        assert abs(report.truth - float(np.real(top.conj() @ obs.matrix @ top))) < 1e-12
+        report = estimate_qfi(psi, obs, budget, seed=4)
+        assert abs(report.truth - dense_qfi_oracle(rho_a, obs, "support_only")) < 1e-12
+        assert abs(report.extras["full_qfi_oracle"] - dense_qfi_oracle(rho_a, obs, "full")) < 1e-12
+
+    def test_no_payload_sized_matrix_is_diagonalised_or_built(self, monkeypatch):
+        nA, nB = 6, 1
+        psi = graded_purification(nA, nB, 174)
+        z = Observable(pauli_on(nA, 0, PAULI_Z))
+        x = Observable(pauli_on(nA, 0, PAULI_X))
+        shapes = []
+
+        def counted(fn):
+            def wrapper(a, *args, **kwargs):
+                shapes.append(np.shape(a)[-2:])
+                return fn(a, *args, **kwargs)
+
+            return wrapper
+
+        post_init = DensityMatrix.__post_init__
+
+        def counted_post_init(self):
+            shapes.append(np.shape(self.matrix)[-2:])
+            post_init(self)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counted_post_init)
+        budget = ShotBudget(2_000, 2_000)
+        estimate_moment(psi, 2, ShotBudget(tomography_shots=2_000), seed=1)
+        estimate_virtual_cooling(psi, z, 2, budget, seed=2)
+        estimate_pca(psi, z, budget, seed=3)
+        estimate_qfi(psi, x, budget, seed=4)
+        assert shapes, "the counters saw no B-side work"
+        assert max(max(shape) for shape in shapes) <= 2 ** nB, sorted(set(shapes))
+
+    @pytest.mark.parametrize("estimator", ["moment", "cooling", "pca", "qfi"])
+    def test_empty_payload_is_rejected(self, estimator):
+        psi = PureState(np.array([1.0, 0.0]), 0, 1)
+        obs = Observable(np.eye(1, dtype=complex))
+        budget = ShotBudget(1_000, 1_000)
+        with pytest.raises(DomainError):
+            if estimator == "moment":
+                estimate_moment(psi, 2, ShotBudget(tomography_shots=1_000), seed=1)
+            elif estimator == "cooling":
+                estimate_virtual_cooling(psi, obs, 2, budget, seed=1)
+            elif estimator == "pca":
+                estimate_pca(psi, obs, budget, seed=1)
+            else:
+                estimate_qfi(psi, obs, budget, seed=1)
