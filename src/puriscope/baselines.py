@@ -30,6 +30,7 @@ from .measurement import ShotBudget, _rm_purity_estimates, measure_in_basis, tom
 from .reports import EstimatorReport
 
 SWAP_REGISTER_GUARD = 13  # joint register dimension 2 * 2**(t n) <= 2**13
+SHOTS_PER_UNITARY = 8  # randomized-measurement depth, constant across n
 
 
 def _cycle_a_registers(tensor: np.ndarray, t: int) -> np.ndarray:
@@ -132,13 +133,7 @@ def swap_test_moment(
     )
 
 
-def single_copy_purity_attack(
-    rho: DensityMatrix,
-    total_budget: int,
-    seed: int,
-    *,
-    shots_per_unitary: int = 8,
-) -> EstimatorReport:
+def single_copy_purity_attack(rho: DensityMatrix, total_budget: int, seed: int) -> EstimatorReport:
     """Single-copy purity strategy: global Haar randomized measurements.
 
     The per-setting depth is held constant across n (more settings, not
@@ -149,20 +144,19 @@ def single_copy_purity_attack(
     """
     if rho.n > 10:
         raise GuardError(f"n = {rho.n} exceeds the single-copy guard of 10")
-    if total_budget < 2 * shots_per_unitary:
+    if total_budget < 2 * SHOTS_PER_UNITARY:
         raise DomainError("budget too small for the pair statistic")
-    shots_per = max(2, shots_per_unitary)
-    unitaries = max(2, total_budget // shots_per)
-    estimates = _rm_purity_estimates(rho, unitaries, shots_per, child_rng(seed, 0))
+    unitaries = total_budget // SHOTS_PER_UNITARY
+    estimates = _rm_purity_estimates(rho, unitaries, SHOTS_PER_UNITARY, child_rng(seed, 0))
     value = float(estimates.mean())
     stderr = float(estimates.std(ddof=1) / math.sqrt(unitaries))
     return EstimatorReport(
         value=value,
         truth=rho.purity(),
-        shots_used={"randomized_measurements": unitaries * shots_per},
+        shots_used={"randomized_measurements": unitaries * SHOTS_PER_UNITARY},
         stderr=stderr,
         seed=seed,
-        extras={"n": rho.n, "unitaries": unitaries, "shots_per_unitary": shots_per},
+        extras={"n": rho.n, "unitaries": unitaries, "shots_per_unitary": SHOTS_PER_UNITARY},
     )
 
 

@@ -25,7 +25,7 @@ from .core import (
     kron_all,
 )
 from .errors import DomainError, GapError, GuardError, ValidationError
-from .estimators import _principal, _two_stage
+from .estimators import DEFAULT_MIN_GAP, _principal, _two_stage
 from .measurement import ShotBudget
 from .reports import EstimatorReport
 
@@ -254,16 +254,14 @@ def channel_pca_estimate(
     observable: Observable,
     budget: ShotBudget,
     seed: int,
-    *,
-    min_gap: float = 0.05,
 ) -> EstimatorReport:
     """Estimate Tr(O E_0 rho E_0^dag), the action of the leading Kraus component."""
     _guard_env(iso)
     if observable.dim != iso.dim:
         raise DomainError("observable dimension does not match the channel")
     gap = float(iso.weights[0] - iso.weights[1]) if iso.weights.size > 1 else float(iso.weights[0])
-    if gap < min_gap:
-        raise GapError(f"leading-weight gap {gap:.4f} below required {min_gap}")
+    if gap < DEFAULT_MIN_GAP:
+        raise GapError(f"leading-weight gap {gap:.4f} below required {DEFAULT_MIN_GAP}")
     report = _two_stage(
         iso.env_state(maximally_mixed(iso.n)),
         budget,

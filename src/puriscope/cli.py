@@ -41,7 +41,7 @@ from .estimators import (
     estimate_virtual_cooling,
     oracle_identity_check,
 )
-from .baselines import distinguish_experiment, single_copy_purity_attack, swap_test_moment
+from .baselines import _estimate_statistic, distinguish_experiment, swap_test_moment
 from .channels import (
     canonicalize,
     channel_pca_estimate,
@@ -160,11 +160,7 @@ def _rmse_trial(payload: tuple) -> dict:
     spec = EnsembleSpec(EnsembleFamily(family_value), n)
     sample = sample_ensemble(spec, child_rng(seed, trial))
     trial_seed = int(child_rng(seed, trial, 1).integers(2 ** 31))
-    if strategy == "purification":
-        psi = purify(sample.rho, 1)
-        value = estimate_moment(psi, 2, ShotBudget(tomography_shots=budget), trial_seed).value
-    else:
-        value = single_copy_purity_attack(sample.rho, budget, trial_seed).value
+    value = _estimate_statistic(sample.rho, "purity", strategy, budget, trial_seed)
     return {"trial": trial, "error": value - sample.rho.purity()}
 
 

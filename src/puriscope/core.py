@@ -7,11 +7,12 @@ Conventions used throughout the package:
 * Bipartite registers store system A first, system B last; the amplitude
   vector of a :class:`PureState` reshapes to a ``(2**nA, 2**nB)`` matrix
   whose rows are A indices.
-* Every :class:`DensityMatrix` and :class:`Observable` is diagonalised
-  once, at construction, by :func:`eigh`, and carries that canonical
-  spectrum: eigenvalues descending, each eigenvector's largest-magnitude
-  component real and positive, and the columns of a degenerate block in
-  lexicographic order, so decompositions are reproducible.
+* Every state is read through its canonical spectrum (see :func:`eigh`):
+  ``DensityMatrix(matrix, n)`` diagonalises a dense matrix once, at
+  construction; ``DensityMatrix.from_columns(C, n)`` builds C C^dag from
+  d x k columns with a thin QR and a k x k eigh, and forms ``matrix``
+  only on first access; ``PureState.spectral()`` is the rank-1 spectrum.
+  Partial traces and measurements take one path over spectral columns.
 * Ranks count the eigenvalues above the fixed ``DEFAULT_RANK_TOL``
   (1e-9) relative to the largest magnitude.
 * ``trace_norm`` is the un-halved trace norm ``sum |eigenvalues|``; all
@@ -124,9 +125,12 @@ class PureState:
         """Amplitudes reshaped to (2**nA, 2**nB), rows indexing system A."""
         return self.amplitudes.reshape(2 ** self.nA, 2 ** self.nB)
 
+    def spectral(self) -> "SpectralDecomposition":
+        """The rank-1 spectrum: eigenvalue 1 on the amplitude column."""
+        return SpectralDecomposition(np.ones(1), self.amplitudes[:, None])
+
     def density(self) -> "DensityMatrix":
-        rho = np.outer(self.amplitudes, self.amplitudes.conj())
-        return DensityMatrix(rho, self.n)
+        return DensityMatrix.from_columns(self.amplitudes[:, None], self.n)
 
     def resplit(self, nA: int) -> "PureState":
         """Same amplitudes with the A/B cut moved to a new position."""
@@ -135,16 +139,16 @@ class PureState:
         return PureState(self.amplitudes, nA, self.n - nA)
 
 
-@dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian PSD trace-1 matrix, diagonalised once at construction."""
+    """Hermitian PSD trace-1 state, carried as its canonical spectrum."""
 
-    matrix: np.ndarray
-    n: int
-    _spectrum: "SpectralDecomposition" = field(init=False, repr=False, compare=False)
+    def __init__(self, matrix: np.ndarray, n: int):
+        self._matrix = matrix
+        self.n = n
+        self.__post_init__()
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.asarray(self._matrix, dtype=complex)
         d = 2 ** self.n
         if m.shape != (d, d):
             raise ValidationError(f"matrix shape {m.shape} != ({d}, {d}) for n={self.n}")
@@ -155,8 +159,33 @@ class DensityMatrix:
         lo = float(spectrum.eigenvalues[-1])
         if lo < -PSD_ATOL:
             raise ValidationError(f"minimum eigenvalue {lo} below -{PSD_ATOL}")
-        object.__setattr__(self, "matrix", _freeze(m))
-        object.__setattr__(self, "_spectrum", spectrum)
+        self._matrix = _freeze(m)
+        self._spectrum = spectrum
+
+    @classmethod
+    def from_columns(cls, columns: np.ndarray, n: int) -> "DensityMatrix":
+        """rho = C C^dag for a d x k block of columns C, in O(d k^2).
+
+        With the thin QR C = Q R and R R^dag = U diag(w) U^dag, the
+        eigenpairs are (w, Q U), put in the canonical form of :func:`eigh`.
+        """
+        c = np.asarray(columns, dtype=complex)
+        if c.ndim != 2 or c.shape[0] != 2 ** n:
+            raise ValidationError(f"columns shape {c.shape} needs {2 ** n} rows for n={n}")
+        tr = float(np.vdot(c, c).real)
+        if abs(tr - 1.0) > TRACE_ATOL:
+            raise ValidationError(f"trace {tr} deviates from 1 beyond {TRACE_ATOL}")
+        q, r = np.linalg.qr(c)
+        w, u = np.linalg.eigh(r @ r.conj().T)
+        state = cls.__new__(cls)
+        state._matrix, state.n, state._spectrum = None, n, _canonical(w, q @ u)
+        return state
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = _freeze(self._spectrum.reconstruct())
+        return self._matrix
 
     @property
     def dim(self) -> int:
@@ -166,8 +195,8 @@ class DensityMatrix:
         return self._spectrum
 
     def purity(self) -> float:
-        """Tr(rho^2), which for Hermitian rho is sum |rho_ij|^2: O(d^2), no matmul."""
-        return float(np.vdot(self.matrix, self.matrix).real)
+        """Tr(rho^2) as the sum of squared eigenvalues."""
+        return float(np.sum(self._spectrum.eigenvalues ** 2))
 
     def rank(self) -> int:
         return self._spectrum.rank
@@ -219,24 +248,8 @@ class SpectralDecomposition:
         return self.apply(lambda w: w)
 
 
-def eigh(matrix: np.ndarray) -> SpectralDecomposition:
-    """Hermitian eigendecomposition with descending, canonically ordered output.
-
-    The one place that validates and diagonalises a Hermitian matrix:
-    :class:`DensityMatrix` and :class:`Observable` call it once, at
-    construction, and keep the result.  Eigenvector phases are fixed and,
-    inside a degenerate block, columns are ordered lexicographically by
-    their interleaved (real, imag) coefficients rounded to 10 decimals, so
-    the result is deterministic given the input bytes.  The returned rank
-    uses the fixed ``DEFAULT_RANK_TOL``.
-    """
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    if not is_hermitian(m, HERMITICITY_ATOL):
-        raise ValidationError("matrix is not Hermitian within 1e-10")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    v = v.astype(complex)
+def _canonical(w: np.ndarray, v: np.ndarray) -> SpectralDecomposition:
+    """Eigenpairs (w, v) sorted descending, phase-fixed and tie-broken (see :func:`eigh`)."""
     order = np.argsort(-w, kind="stable")
     w = w[order]
     v = v[:, order]
@@ -259,6 +272,26 @@ def eigh(matrix: np.ndarray) -> SpectralDecomposition:
             v[:, start:stop] = block[:, np.lexsort(np.round(block, 10)[::-1])]
         start = stop
     return SpectralDecomposition(w, v)
+
+
+def eigh(matrix: np.ndarray) -> SpectralDecomposition:
+    """Hermitian eigendecomposition with descending, canonically ordered output.
+
+    The one place that validates and diagonalises a dense Hermitian
+    matrix: :class:`DensityMatrix` and :class:`Observable` call it once,
+    at construction, and keep the result.  Eigenvector phases are fixed
+    (largest-magnitude entry real positive) and, inside a degenerate
+    block, columns are ordered lexicographically by their interleaved
+    (real, imag) coefficients rounded to 10 decimals, so the result is
+    deterministic given the input bytes.
+    """
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    if not is_hermitian(m, HERMITICITY_ATOL):
+        raise ValidationError("matrix is not Hermitian within 1e-10")
+    w, v = np.linalg.eigh((m + m.conj().T) / 2)
+    return _canonical(w, v.astype(complex))
 
 
 @dataclass(frozen=True)
@@ -313,32 +346,18 @@ def partial_trace(state: StateLike, keep) -> DensityMatrix:
     """Reduced density matrix on the kept qubits.
 
     ``keep`` is either an iterable of qubit indices or, for a PureState,
-    the string "A" or "B".
+    the string "A" or "B".  The result is sum_j w_j Tr_rest |c_j><c_j|
+    over every spectral column c_j with its signed weight w_j.
     """
     idx = _resolve_keep(state, keep)
     n = state.n
-
-    if isinstance(state, PureState):
-        # Fast path for the contiguous A/B split.
-        if idx == tuple(range(state.nA)) and state.nA >= 1 and state.nB >= 1:
-            c = state.as_matrix()
-            return DensityMatrix(c @ c.conj().T, state.nA)
-        if idx == tuple(range(state.nA, state.n)) and state.nA >= 1 and state.nB >= 1:
-            c = state.as_matrix()
-            return DensityMatrix(c.T @ c.conj(), state.nB)
-        psi = state.amplitudes.reshape([2] * n)
-        rest = [q for q in range(n) if q not in idx]
-        psi = np.transpose(psi, list(idx) + rest)
-        c = psi.reshape(2 ** len(idx), 2 ** len(rest))
-        return DensityMatrix(c @ c.conj().T, len(idx))
-
-    rho = state.matrix.reshape([2] * (2 * n))
+    spec = state.spectral()
+    k = spec.eigenvalues.size
     rest = [q for q in range(n) if q not in idx]
-    perm = list(idx) + rest + [n + q for q in idx] + [n + q for q in rest]
-    rho = np.transpose(rho, perm)
-    dk, dr = 2 ** len(idx), 2 ** len(rest)
-    rho = rho.reshape(dk, dr, dk, dr)
-    reduced = np.einsum("arbr->ab", rho)
+    cols = np.transpose(spec.eigenvectors.reshape([2] * n + [k]), list(idx) + rest + [n])
+    cols = cols.reshape(2 ** len(idx), -1, k)
+    weighted = (cols * spec.eigenvalues).reshape(2 ** len(idx), -1)
+    reduced = weighted @ cols.reshape(2 ** len(idx), -1).conj().T
     return DensityMatrix(reduced, len(idx))
 
 
@@ -411,8 +430,7 @@ def trace_distance(a: StateLike, b: StateLike, *, halved: bool = True) -> float:
     Returns 0.5 * ||a - b||_1 by default; ``halved=False`` gives the
     un-halved trace norm used by the perturbation bounds.
     """
-    ma = a.matrix if isinstance(a, DensityMatrix) else a.density().matrix
-    mb = b.matrix if isinstance(b, DensityMatrix) else b.density().matrix
+    ma, mb = a.spectral().reconstruct(), b.spectral().reconstruct()
     if ma.shape != mb.shape:
         raise DimensionError(f"dimension mismatch {ma.shape} vs {mb.shape}")
     tn = trace_norm(ma - mb)
@@ -430,11 +448,3 @@ def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
     vals[vals < 1e-14 * max(vals.max(), 1e-300)] = 0.0
     return float(np.sqrt(vals).sum() ** 2)
 
-
-def steered_operator(psi: PureState, b_operator: np.ndarray) -> np.ndarray:
-    """Tr_B[ |psi><psi| (I_A (x) M_B) ] without forming the full projector."""
-    c = psi.as_matrix()
-    m = np.asarray(b_operator, dtype=complex)
-    if m.shape != (2 ** psi.nB, 2 ** psi.nB):
-        raise DimensionError("B-side operator dimension mismatch")
-    return c @ m.T @ c.conj().T

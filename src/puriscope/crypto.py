@@ -17,12 +17,14 @@ import numpy as np
 
 from .core import DensityMatrix, Observable, PureState, basis_state, partial_trace, trace_norm
 from .ensembles import child_rng, verification_state, _haar_vector
-from .errors import DomainError, ValidationError
+from .errors import DomainError
 from .measurement import ShotBudget, born_probabilities, tomography
 from .baselines import single_copy_purity_attack
 
-DEFAULT_ALPHAS = (math.sqrt(0.9), math.sqrt(0.5))
-DEFAULT_TOLERANCE = 0.1
+ALPHAS = (math.sqrt(0.9), math.sqrt(0.5))
+TOLERANCE = 0.1
+DISHONEST_REPORT = 0.66  # the purity a dishonest constant server always reports
+AUDIT_Z_THRESHOLD = 3.0
 
 
 class ServerKind(str, Enum):
@@ -37,7 +39,6 @@ class ServerModel:
 
     kind: ServerKind
     budget: ShotBudget = ShotBudget(observable_shots=10_000)
-    fixed_report: float = 0.66
 
 
 @dataclass
@@ -56,20 +57,13 @@ class TranscriptEntry:
         }
 
 
-def _client_purity_estimate(rho_b: DensityMatrix, shots: int, rng: np.random.Generator) -> float:
-    est = tomography(rho_b, shots, rng).estimate
-    return est.purity()
-
-
 def run_verification(
     n: int,
     server: ServerModel,
     trials: int,
     seed: int,
     *,
-    alphas: tuple[float, float] = DEFAULT_ALPHAS,
     client_shots: int = 10_000,
-    tolerance: float = DEFAULT_TOLERANCE,
 ) -> dict:
     """Purity-based capability check of a server holding only the A system.
 
@@ -80,13 +74,11 @@ def run_verification(
     """
     if n < 2:
         raise DomainError("verification needs n >= 2 payload qubits")
-    if len(alphas) != 2:
-        raise ValidationError("exactly two alpha settings are expected")
     accepted = 0
-    by_alpha = {round(a, 6): [0, 0] for a in alphas}
+    by_alpha = {round(a, 6): [0, 0] for a in ALPHAS}
     for trial in range(trials):
         rng = child_rng(seed, trial)
-        alpha = float(alphas[int(rng.integers(2))])
+        alpha = float(ALPHAS[int(rng.integers(2))])
         u = _haar_vector(2 ** n, rng)
         v = _haar_vector(2 ** n, rng)
         psi = verification_state(alpha, u, v)
@@ -98,15 +90,15 @@ def run_verification(
             # infinite-shot SWAP-test value is the oracle itself.
             report = true_purity
         elif server.kind is ServerKind.SINGLE_COPY_LIMITED:
-            rho_a = partial_trace(psi, "A")
+            rho_a = DensityMatrix.from_columns(psi.as_matrix(), n)
             report = single_copy_purity_attack(
                 rho_a, server.budget.total, int(rng.integers(2 ** 31))
             ).value
         else:
-            report = server.fixed_report
+            report = DISHONEST_REPORT
 
-        client = _client_purity_estimate(rho_b, client_shots, rng)
-        ok = abs(report - client) <= tolerance
+        client = tomography(rho_b, client_shots, rng).estimate.purity()
+        ok = abs(report - client) <= TOLERANCE
         accepted += ok
         stats = by_alpha[round(alpha, 6)]
         stats[0] += ok
@@ -120,7 +112,7 @@ def run_verification(
         "acceptance_by_alpha": {
             str(a): (s[0] / s[1] if s[1] else None) for a, s in by_alpha.items()
         },
-        "tolerance": tolerance,
+        "tolerance": TOLERANCE,
     }
 
 
@@ -270,12 +262,11 @@ def run_test_observable_audit(
     seed: int,
     *,
     report_bias: float = 0.0,
-    z_threshold: float = 3.0,
 ) -> dict:
     """Cross-check server honesty on observables with known expectations.
 
     Rounds split evenly across targets and tests; the audit passes when
-    every test observable's kept-round mean sits within ``z_threshold``
+    every test observable's kept-round mean sits within ``AUDIT_Z_THRESHOLD``
     standard errors of its known value.  Tampering limited to the target
     observables is invisible here, by design.
     """
@@ -295,7 +286,7 @@ def run_test_observable_audit(
         kept = max(result.kept_rounds, 1)
         se = max(result.kept_std / math.sqrt(kept), 1e-6 * max(obs.spectral_norm, 1.0))
         z = abs(result.client_estimate - known) / se
-        ok = z <= z_threshold
+        ok = z <= AUDIT_Z_THRESHOLD
         audit_pass = audit_pass and ok
         per_observable.append(
             {"kind": "test", "known": known, "estimate": result.client_estimate, "z": z, "pass": ok}

@@ -165,18 +165,6 @@ class LabeledSample:
     label: EnsembleFamily
 
 
-def _mixture(dim: int, parts: list[tuple[float, np.ndarray]]) -> np.ndarray:
-    rho = np.zeros((dim, dim), dtype=complex)
-    for weight, vector in parts:
-        rho += weight * np.outer(vector, vector.conj())
-    return rho
-
-
-def _level_ket(level: int) -> np.ndarray:
-    """Three-level register state embedded in two qubits (|00>, |01>, |10>)."""
-    return basis_state(2, level)
-
-
 def analytic_mean_purity(spec: EnsembleSpec) -> float:
     """Exact E[Tr rho^2] for a family, from the closed-form cross terms."""
     fam = spec.family
@@ -218,7 +206,6 @@ def sample_ensemble(
             v = v / np.linalg.norm(v)
         w0 = 0.9 if fam is EnsembleFamily.PURITY_S1 else 0.5
         parts = [(w0, u), (1.0 - w0, v)]
-        rho = _mixture(dim, parts)
         hidden = {"u": u, "v": v}
 
     elif fam in (EnsembleFamily.VC_PCA_S1, EnsembleFamily.VC_PCA_S2):
@@ -234,7 +221,6 @@ def sample_ensemble(
             (0.25, np.kron(flag1, np.kron(e0, psi2))),
             (0.25, np.kron(flag1, np.kron(e1, psi3))),
         ]
-        rho = _mixture(dim, parts)
         hidden = {"psi1": psi1, "psi2": psi2, "psi3": psi3}
 
     elif fam in (EnsembleFamily.FISHER_S1, EnsembleFamily.FISHER_S2):
@@ -249,25 +235,23 @@ def sample_ensemble(
             (0.375, np.kron(b, u)),
             (0.125, np.kron(b, v)),
         ]
-        rho = _mixture(dim, parts)
         hidden = {"u": u, "v": v}
 
     elif fam in (EnsembleFamily.CLASS_CORR_CS1, EnsembleFamily.CLASS_CORR_CS2):
         u = _haar_vector(2 ** (n - 4), rng)
         v = _haar_vector(2 ** (n - 4), rng)
         mid = u if fam is EnsembleFamily.CLASS_CORR_CS1 else v
+        # Two three-level registers, each level embedded in two qubits as |00>, |01>, |10>.
         parts = [
-            (0.5, kron_all(_level_ket(0), _level_ket(0), u).ravel()),
-            (0.375, kron_all(_level_ket(1), _level_ket(1), mid).ravel()),
-            (0.125, kron_all(_level_ket(2), _level_ket(2), v).ravel()),
+            (0.5, kron_all(basis_state(2, 0), basis_state(2, 0), u).ravel()),
+            (0.375, kron_all(basis_state(2, 1), basis_state(2, 1), mid).ravel()),
+            (0.125, kron_all(basis_state(2, 2), basis_state(2, 2), v).ravel()),
         ]
-        rho = _mixture(dim, parts)
         hidden = {"u": u, "v": v}
 
     elif fam is EnsembleFamily.HAAR_PURE:
         u = _haar_vector(dim, rng)
         parts = [(1.0, u)]
-        rho = _mixture(dim, parts)
         hidden = {"u": u}
 
     else:  # RANDOM_RANK_R
@@ -277,12 +261,12 @@ def sample_ensemble(
         q = q * (np.diagonal(rr) / np.abs(np.diagonal(rr)))
         weights = np.asarray(spec.weights, dtype=float)
         parts = [(float(w), q[:, i]) for i, w in enumerate(weights)]
-        rho = _mixture(dim, parts)
         hidden = {"frame": q}
 
     hidden["weights"] = tuple(w for w, _ in parts)
     hidden["components"] = tuple(vec for _, vec in parts)
-    return LabeledSample(DensityMatrix(rho, n), hidden, fam)
+    columns = np.column_stack([np.sqrt(w) * vec for w, vec in parts])
+    return LabeledSample(DensityMatrix.from_columns(columns, n), hidden, fam)
 
 
 def purify(rho: DensityMatrix, nB: int) -> PureState:

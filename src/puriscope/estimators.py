@@ -25,7 +25,6 @@ from .core import (
     SpectralDecomposition,
     partial_trace,
     schmidt_decompose,
-    steered_operator,
     trace_norm,
 )
 from .ensembles import child_rng
@@ -80,24 +79,29 @@ def _joint_marginals(state: JointState, nA: Optional[int]) -> tuple[DensityMatri
     return rho_a, rho_b, nA, nB
 
 
+def _blocks(state: JointState, dA: int) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral columns as d_A x d_B blocks, shape (d_A, K, d_B), and their signed weights."""
+    spec = state.spectral()
+    k = spec.eigenvalues.size
+    return spec.eigenvectors.reshape(dA, -1, k).transpose(0, 2, 1), spec.eigenvalues
+
+
 def _steer(state: JointState, nA: int, nB: int, b_operator: np.ndarray) -> np.ndarray:
-    """Tr_B[ state (I_A (x) M_B) ] for pure or mixed joint states."""
-    if isinstance(state, PureState):
-        return steered_operator(state, b_operator)
+    """Tr_B[ state (I_A (x) M_B) ] = sum_j w_j C_j M^T C_j^dag over the spectral blocks C_j."""
     dA, dB = 2 ** nA, 2 ** nB
-    t = state.matrix.reshape(dA, dB, dA, dB)
-    return np.einsum("abcd,db->ac", t, np.asarray(b_operator, dtype=complex))
+    c, w = _blocks(state, dA)
+    m = np.asarray(b_operator, dtype=complex)
+    steered = (c.reshape(-1, dB) @ m.T).reshape(c.shape) * w[:, None]
+    return steered.reshape(dA, -1) @ c.reshape(dA, -1).conj().T
 
 
 def _expectation_weights(joint: JointState, a_operator: np.ndarray) -> np.ndarray:
-    """The B-side matrix X with Tr[joint (A (x) g)] = sum(X * g) for every g."""
+    """X = sum_j w_j C_j^dag A C_j, so Tr[joint (A (x) g)] = sum(X * g) for every g."""
     a = np.asarray(a_operator, dtype=complex)
-    if isinstance(joint, PureState):
-        c = joint.as_matrix()
-        return c.conj().T @ (a @ c)
     dA = a.shape[0]
-    dB = joint.dim // dA
-    return np.einsum("abcd,ca->db", joint.matrix.reshape(dA, dB, dA, dB), a)
+    c, w = _blocks(joint, dA)
+    moved = (a @ c.reshape(dA, -1)).reshape(-1, c.shape[2])
+    return (c * w[:, None]).conj().reshape(-1, c.shape[2]).T @ moved
 
 
 def bipartite_expectation(psi: JointState, a_operator: np.ndarray, b_operator: np.ndarray) -> float:
@@ -111,16 +115,13 @@ def oracle_identity_check(
     kind: PurificationIdentity,
     *,
     t: int = 2,
-    observable: Optional[Observable] = None,
     pair: tuple[int, int] = (0, 1),
     nA: Optional[int] = None,
 ) -> float:
     """Exact deviation between the two sides of a steering identity.
 
     Returns a trace-norm (or absolute-value) residual computed with exact
-    linear algebra; shot noise never enters.  ``observable`` is unused by
-    the identities themselves but accepted so callers can sweep one
-    configuration object.
+    linear algebra; shot noise never enters.
     """
     kind = PurificationIdentity(kind)
     rho_a, rho_b, nA, nB = _joint_marginals(state, nA)
@@ -315,22 +316,20 @@ def estimate_pca(
     observable: Observable,
     budget: ShotBudget,
     seed: int,
-    *,
-    min_gap: float = DEFAULT_MIN_GAP,
 ) -> EstimatorReport:
     """Estimate Tr(O psi_A^0), the observable on the principal component.
 
-    Requires the marginal spectral gap to clear ``min_gap``, mirroring the
-    protocol's Theta(1)-gap assumption; the estimate divides the measured
-    steering expectation by the reconstructed top eigenvalue.
+    Requires the marginal spectral gap to clear ``DEFAULT_MIN_GAP``,
+    mirroring the protocol's Theta(1)-gap assumption; the estimate divides
+    the measured steering expectation by the reconstructed top eigenvalue.
     """
     _guard_psi(psi)
     _guard_observable(observable, 2 ** psi.nA)
 
     rho_b = partial_trace(psi, "B")
     exact_gap = rho_b.spectral().gap
-    if exact_gap < min_gap:
-        raise GapError(f"spectral gap {exact_gap:.4f} below the required {min_gap}")
+    if exact_gap < DEFAULT_MIN_GAP:
+        raise GapError(f"spectral gap {exact_gap:.4f} below the required {DEFAULT_MIN_GAP}")
 
     report = _two_stage(
         rho_b, budget, seed, joint=psi, observable=observable, terms=lambda spec: [_principal(spec)]

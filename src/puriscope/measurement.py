@@ -19,13 +19,19 @@ from .core import (
     DensityMatrix,
     HADAMARD,
     Observable,
-    PureState,
     SpectralDecomposition,
     StateLike,
     eigh,
     kron_all,
 )
 from .errors import DimensionError, DomainError, GuardError, InsufficientDataError, ValidationError
+
+TOMOGRAPHY_GUARD = 64  # largest dimension tomography reconstructs
+# Randomized measurements draw Ginibre frames _FRAME_CHUNK entries (32 MiB) at
+# a time, enough for one draw at rank <= 3, n <= 8 and 2e4 shots, and run QR
+# on _QR_BLOCK entries at a time.
+_FRAME_CHUNK = 2 ** 21
+_QR_BLOCK = 2 ** 16
 
 _EIGENBASIS = {
     "X": HADAMARD,
@@ -40,24 +46,16 @@ class ShotBudget:
 
     tomography_shots: int = 0
     observable_shots: int = 0
-    unitaries: int = 0
-    shots_per_unitary: int = 0
 
     def __post_init__(self):
-        values = (
-            self.tomography_shots,
-            self.observable_shots,
-            self.unitaries,
-            self.shots_per_unitary,
-        )
-        if any(v < 0 for v in values):
+        if self.tomography_shots < 0 or self.observable_shots < 0:
             raise ValidationError("shot counts must be nonnegative")
-        if all(v == 0 for v in values):
+        if self.total == 0:
             raise ValidationError("at least one stage needs a positive budget")
 
     @property
     def total(self) -> int:
-        return self.tomography_shots + self.observable_shots + self.unitaries * self.shots_per_unitary
+        return self.tomography_shots + self.observable_shots
 
     @staticmethod
     def split(total: int, tomography_fraction: float = 0.5) -> "ShotBudget":
@@ -70,9 +68,7 @@ class ShotBudget:
 
 
 def _support(state: StateLike) -> tuple[np.ndarray, np.ndarray]:
-    """Columns c_j and weights w_j with state = sum_j w_j |c_j><c_j|."""
-    if isinstance(state, PureState):
-        return state.amplitudes[:, None], np.ones(1)
+    """Columns c_j and weights w_j with state = sum_j w_j |c_j><c_j| over its support."""
     spec = state.spectral()
     r = max(spec.rank, 1)
     return spec.eigenvectors[:, :r], np.clip(spec.eigenvalues[:r], 0.0, None)
@@ -218,13 +214,7 @@ def _shadow_inverse(counts: np.ndarray) -> np.ndarray:
     return t.transpose(rows_then_cols).reshape(lead + (d, d)) / 3 ** m
 
 
-def tomography(
-    state: StateLike,
-    shots: int,
-    rng: np.random.Generator,
-    *,
-    max_dim: int = 64,
-) -> TomographyResult:
+def tomography(state: StateLike, shots: int, rng: np.random.Generator) -> TomographyResult:
     """Pauli-basis linear-inversion tomography with PSD projection.
 
     Shots are split evenly over the 3**m product-Pauli settings; the raw
@@ -234,8 +224,8 @@ def tomography(
     """
     m = state.n
     d = state.dim
-    if d > max_dim:
-        raise GuardError(f"dimension {d} exceeds the tomography guard {max_dim}")
+    if d > TOMOGRAPHY_GUARD:
+        raise GuardError(f"dimension {d} exceeds the tomography guard {TOMOGRAPHY_GUARD}")
     if m and shots < d ** 2:
         raise InsufficientDataError(f"{shots} shots below the d^2 = {d ** 2} floor")
     settings = ["".join(s) for s in itertools.product("XYZ", repeat=m)]
@@ -290,7 +280,9 @@ def _rm_purity_estimates(
     Rotating the measurement basis by Haar U is distributionally the same
     as rotating the state's support frame, so a d x r Ginibre QR per
     setting replaces the full d x d unitary; the QR columns are the first
-    r columns of a Haar unitary at any rank r <= d.
+    r columns of a Haar unitary at any rank r <= d.  The frames are drawn
+    ``_FRAME_CHUNK`` entries at a time and factored ``_QR_BLOCK`` entries
+    at a time, so memory stays bounded at any rank and budget.
     """
     if unitaries < 2:
         raise DomainError("need at least 2 random unitaries")
@@ -300,9 +292,18 @@ def _rm_purity_estimates(
     m = shots_per_unitary
     _, weights = _support(state)
     r = weights.size
-    z = rng.standard_normal((unitaries, d, r)) + 1j * rng.standard_normal((unitaries, d, r))
-    q, _ = np.linalg.qr(z)
-    probs = np.abs(q) ** 2 @ (weights / weights.sum())
+    weights = weights / weights.sum()
+    per_draw = max(1, _FRAME_CHUNK // (d * r))
+    per_qr = max(1, _QR_BLOCK // (d * r))
+    probs = np.empty((unitaries, d))
+    frames = np.empty((min(per_draw, unitaries), d, r), dtype=complex)
+    for start in range(0, unitaries, per_draw):
+        z = frames[: unitaries - start]
+        z.real = rng.standard_normal(z.shape)
+        z.imag = rng.standard_normal(z.shape)
+        for block in range(0, len(z), per_qr):
+            q, _ = np.linalg.qr(z[block:block + per_qr])
+            probs[start + block:start + block + len(q)] = np.abs(q) ** 2 @ weights
     counts = rng.multinomial(m, probs / probs.sum(axis=1, keepdims=True))
     collisions = ((counts * counts).sum(axis=1) - m) / (m * (m - 1))
     return (d + 1) * collisions - 1.0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from puriscope import (
     DensityMatrix,
@@ -13,9 +15,10 @@ from puriscope import (
     trace_distance,
     trace_norm,
 )
-from puriscope.core import PAULI_X, PAULI_Z, pauli_on
+from puriscope.core import PAULI_X, PAULI_Z, PSD_ATOL, pauli_on
 from puriscope.ensembles import child_rng, haar_state, haar_unitary, purify
 from puriscope.errors import DimensionError, DomainError, ValidationError
+from puriscope.estimators import _expectation_weights, _steer
 
 BELL = PureState(np.array([1, 0, 0, 1]) / np.sqrt(2), 1, 1)
 
@@ -483,3 +486,138 @@ def _mix_vectors(a, b, amount):
 def _cross_operator(psi1, psi2):
     block = np.kron(np.outer(psi1, psi2.conj()), np.outer(psi2, psi1.conj()))
     return block + block.conj().T
+
+
+# -- one spectral path --------------------------------------------------------
+# Dense references kept from the einsum implementations that the spectral
+# column path replaced: they read the d x d matrix of the state.
+
+
+def _einsum_partial_trace(matrix, n, keep):
+    rest = [q for q in range(n) if q not in keep]
+    perm = list(keep) + rest + [n + q for q in keep] + [n + q for q in rest]
+    dk, dr = 2 ** len(keep), 2 ** len(rest)
+    t = np.transpose(matrix.reshape([2] * (2 * n)), perm).reshape(dk, dr, dk, dr)
+    return np.einsum("arbr->ab", t)
+
+
+def _einsum_steer(matrix, dA, dB, b_operator):
+    return np.einsum("abcd,db->ac", matrix.reshape(dA, dB, dA, dB), b_operator)
+
+
+def _einsum_expectation_weights(matrix, a_operator):
+    dA = a_operator.shape[0]
+    dB = matrix.shape[0] // dA
+    return np.einsum("abcd,ca->db", matrix.reshape(dA, dB, dA, dB), a_operator)
+
+
+def _random_columns(n, k, inner, rng):
+    """d x k columns of rank min(inner, d, k), scaled to unit Frobenius norm."""
+    d = 2 ** n
+    left = rng.standard_normal((d, inner)) + 1j * rng.standard_normal((d, inner))
+    right = rng.standard_normal((inner, k)) + 1j * rng.standard_normal((inner, k))
+    c = left @ right
+    return c / np.linalg.norm(c)
+
+
+def _dense_with_small_eigenvalues(n, rng):
+    """Full-spectrum state with eigenvalues below the rank tolerance, one of them negative."""
+    d = 2 ** n
+    w = np.concatenate([rng.dirichlet(np.ones(min(2, d))), np.zeros(max(d - 2, 0))])
+    if d > 2:
+        w[2] = -0.5 * PSD_ATOL
+        w[3:] = 1e-13 * rng.random(d - 3)
+    u = haar_unitary(d, rng)
+    m = (u * w) @ u.conj().T
+    return DensityMatrix(m / np.trace(m).real, n)
+
+
+@st.composite
+def _column_cases(draw):
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 2 ** n + 2))
+    inner = draw(st.integers(1, k))
+    return n, k, inner, draw(st.integers(0, 2 ** 31))
+
+
+class TestFromColumns:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(_column_cases())
+    def test_matches_dense_construction(self, case):
+        n, k, inner, seed = case
+        c = _random_columns(n, k, inner, child_rng(190, seed))
+        thin = DensityMatrix.from_columns(c, n)
+        dense = DensityMatrix(c @ c.conj().T, n)
+        assert np.abs(thin.matrix - dense.matrix).max() < 1e-12
+        w_thin, w_dense = thin.spectral().eigenvalues, dense.spectral().eigenvalues
+        m = w_thin.size
+        assert m == min(2 ** n, k)
+        assert np.abs(w_thin - w_dense[:m]).max() < 1e-12
+        assert np.abs(w_dense[m:]).max(initial=0.0) < 1e-12
+        assert thin.rank() == dense.rank()
+        assert abs(thin.purity() - dense.purity()) < 1e-12
+        # eigenvectors of eigenvalues well apart from their neighbours span the same lines
+        padded = np.concatenate([[np.inf], w_dense, [-np.inf]])
+        for j in range(m):
+            if min(padded[j] - padded[j + 1], padded[j + 1] - padded[j + 2]) > 1e-6:
+                a, b = thin.spectral().eigenvectors[:, j], dense.spectral().eigenvectors[:, j]
+                assert np.abs(np.outer(a, a.conj()) - np.outer(b, b.conj())).max() < 1e-10
+
+    def test_matrix_is_formed_on_first_access_only(self, monkeypatch):
+        c = _random_columns(4, 3, 3, child_rng(191))
+        rho = DensityMatrix.from_columns(c, 4)
+        reconstructed = []
+        original = SpectralDecomposition.reconstruct
+        monkeypatch.setattr(
+            SpectralDecomposition,
+            "reconstruct",
+            lambda self: reconstructed.append(1) or original(self),
+        )
+        assert rho.rank() == 3
+        assert rho.purity() == float(np.sum(rho.spectral().eigenvalues ** 2))
+        assert reconstructed == []
+        assert rho.matrix is rho.matrix
+        assert reconstructed == [1]
+
+    def test_rejects_wrong_rows_and_trace(self):
+        with pytest.raises(ValidationError):
+            DensityMatrix.from_columns(np.ones((3, 1)) / np.sqrt(3), 2)
+        with pytest.raises(ValidationError):
+            DensityMatrix.from_columns(np.ones((4, 1)), 2)
+
+
+class TestOneSpectralPath:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(_column_cases(), st.sampled_from(["pure", "thin", "dense"]))
+    def test_reductions_match_einsum_references(self, case, kind):
+        n, k, inner, seed = case
+        rng = child_rng(192, seed)
+        if kind == "pure":
+            state = PureState(_random_columns(n, 1, 1, rng)[:, 0], n, 0)
+            matrix = np.outer(state.amplitudes, state.amplitudes.conj())
+        elif kind == "thin":
+            state = DensityMatrix.from_columns(_random_columns(n, k, inner, rng), n)
+            matrix = state.matrix
+        else:
+            state = _dense_with_small_eigenvalues(n, rng)
+            matrix = state.matrix
+        keep = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
+        reduced = partial_trace(state, keep).matrix
+        assert np.abs(reduced - _einsum_partial_trace(matrix, n, keep)).max() < 1e-12
+        if n < 2:
+            return
+        nA = int(rng.integers(1, n))
+        dA, dB = 2 ** nA, 2 ** (n - nA)
+        b_op = rng.standard_normal((dB, dB)) + 1j * rng.standard_normal((dB, dB))
+        a_op = rng.standard_normal((dA, dA)) + 1j * rng.standard_normal((dA, dA))
+        steered = _steer(state, nA, n - nA, b_op)
+        assert np.abs(steered - _einsum_steer(matrix, dA, dB, b_op)).max() < 1e-12
+        weights = _expectation_weights(state, a_op)
+        assert np.abs(weights - _einsum_expectation_weights(matrix, a_op)).max() < 1e-12
+
+    def test_signed_weights_below_rank_tolerance_still_trace_exactly(self):
+        rho = _dense_with_small_eigenvalues(3, child_rng(193))
+        assert rho.spectral().eigenvalues[-1] < 0 and rho.rank() == 2
+        reduced = partial_trace(rho, [0, 2]).matrix
+        # dropping the columns below the tolerance would cost about 5e-10
+        assert np.abs(reduced - _einsum_partial_trace(rho.matrix, 3, [0, 2])).max() < 1e-12

@@ -8,6 +8,8 @@ from puriscope import (
     Observable,
     PureState,
     PurificationIdentity,
+    ServerKind,
+    ServerModel,
     ShotBudget,
     child_rng,
     classical_correlate,
@@ -20,6 +22,7 @@ from puriscope import (
     partial_trace,
     purify,
     qfi_oracle,
+    run_verification,
     sample_ensemble,
     schmidt_decompose,
 )
@@ -128,7 +131,7 @@ class TestEstimateMoment:
         sample = sample_ensemble(EnsembleSpec(EnsembleFamily.VC_PCA_S1, 4), child_rng(68))
         psi = purify(sample.rho, 2)
         report = estimate_moment(psi, 3, ShotBudget(tomography_shots=20_000), seed=7)
-        assert abs(report.value - 0.15538742435856975) < 1e-12
+        assert abs(report.value - 0.1529142563572137) < 1e-12
 
     def test_pure_marginal(self):
         rho = DensityMatrix(np.diag([1.0, 0, 0, 0]).astype(complex), 2)
@@ -348,9 +351,9 @@ STAGE_TWO_PINS = [
     ("cooling", 3, 1, 0.12204355813927037, 0.007058364891710355),
     ("pca", 3, 1, 0.3252504138997679, 0.019096682969055173),
     ("qfi", 3, 1, 0.07834190763353528, 0.010766794901066785),
-    ("cooling", 3, 2, 0.006892762567459158, 0.00647755443421426),
-    ("pca", 3, 2, -0.08641430291092995, 0.01682979420949268),
-    ("qfi", 3, 2, 0.00382645819472317, 0.0015372965062060155),
+    ("cooling", 3, 2, 0.006866158619169573, 0.006624539181294758),
+    ("pca", 3, 2, -0.06151251127559955, 0.017256276116792757),
+    ("qfi", 3, 2, 0.0038241230927142434, 0.001562652363368227),
 ]
 
 
@@ -526,6 +529,58 @@ def graded_purification(nA, nB, seed):
     return purify(sample_ensemble(spec, child_rng(seed, nA, nB)).rho, nB)
 
 
+def record_diagonalised_shapes(monkeypatch) -> list:
+    """Trailing shapes of every matrix that reaches eigh, eigvalsh or DensityMatrix validation."""
+    shapes = []
+
+    def counted(fn):
+        def wrapper(a, *args, **kwargs):
+            shapes.append(np.shape(a)[-2:])
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    post_init = DensityMatrix.__post_init__
+
+    def counted_post_init(self):
+        shapes.append(np.shape(self.matrix)[-2:])
+        post_init(self)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted_post_init)
+    return shapes
+
+
+def run_four_estimators(psi, z, x):
+    budget = ShotBudget(2_000, 2_000)
+    estimate_moment(psi, 2, ShotBudget(tomography_shots=2_000), seed=1)
+    estimate_virtual_cooling(psi, z, 2, budget, seed=2)
+    estimate_pca(psi, z, budget, seed=3)
+    estimate_qfi(psi, x, budget, seed=4)
+
+
+class TestNoPayloadSizedDenseStep:
+    def test_sampling_purification_estimators_and_verification_at_na_10(self, monkeypatch):
+        nA = 10
+        z = Observable(pauli_on(nA, 0, PAULI_Z))
+        x = Observable(pauli_on(nA, 0, PAULI_X))
+        shapes = record_diagonalised_shapes(monkeypatch)
+        purified = {}
+        for family in EnsembleFamily:
+            if family is EnsembleFamily.RANDOM_RANK_R:
+                spec = EnsembleSpec(family, nA, rank=2, weights=(2 / 3, 1 / 3))
+            else:
+                spec = EnsembleSpec(family, nA)
+            sample = sample_ensemble(spec, child_rng(175, list(EnsembleFamily).index(family)))
+            purified[family] = purify(sample.rho, 2)
+        run_four_estimators(purified[EnsembleFamily.RANDOM_RANK_R], z, x)
+        result = run_verification(nA, ServerModel(ServerKind.SINGLE_COPY_LIMITED), 1, seed=5)
+        assert result["acceptance"] in (0.0, 1.0)
+        assert shapes, "the counters saw no work"
+        assert max(max(shape) for shape in shapes) < 2 ** nA, sorted(set(shapes))
+
+
 class TestQfiOracleMatchesDenseReference:
     def test_states_of_every_rank(self):
         for n in range(1, 6):
@@ -582,29 +637,8 @@ class TestTruthFromSchmidtFactor:
         psi = graded_purification(nA, nB, 174)
         z = Observable(pauli_on(nA, 0, PAULI_Z))
         x = Observable(pauli_on(nA, 0, PAULI_X))
-        shapes = []
-
-        def counted(fn):
-            def wrapper(a, *args, **kwargs):
-                shapes.append(np.shape(a)[-2:])
-                return fn(a, *args, **kwargs)
-
-            return wrapper
-
-        post_init = DensityMatrix.__post_init__
-
-        def counted_post_init(self):
-            shapes.append(np.shape(self.matrix)[-2:])
-            post_init(self)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
-        monkeypatch.setattr(DensityMatrix, "__post_init__", counted_post_init)
-        budget = ShotBudget(2_000, 2_000)
-        estimate_moment(psi, 2, ShotBudget(tomography_shots=2_000), seed=1)
-        estimate_virtual_cooling(psi, z, 2, budget, seed=2)
-        estimate_pca(psi, z, budget, seed=3)
-        estimate_qfi(psi, x, budget, seed=4)
+        shapes = record_diagonalised_shapes(monkeypatch)
+        run_four_estimators(psi, z, x)
         assert shapes, "the counters saw no B-side work"
         assert max(max(shape) for shape in shapes) <= 2 ** nB, sorted(set(shapes))
 

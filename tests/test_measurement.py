@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -306,6 +307,22 @@ class TestRandomizedMeasurementPurity:
         rho = DensityMatrix(np.eye(2) / 2, 1)
         with pytest.raises(InsufficientDataError):
             randomized_measurement_purity(rho, 10, 1, child_rng(30))
+
+    def test_memory_bounded_at_full_rank(self):
+        # A full-rank state needs a d x d frame per random basis.  Drawing all
+        # 500 frames of n = 6 at once peaked near 130 MB; chunked draws and
+        # blocked QR stay well below that, and n = 7 takes three draw chunks.
+        for n, unitaries in ((6, 500), (7, 300)):
+            d = 2 ** n
+            rho = DensityMatrix(np.eye(d) / d, n)
+            tracemalloc.start()
+            try:
+                value = randomized_measurement_purity(rho, unitaries, 8, child_rng(31, n))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64e6, (n, peak / 1e6)
+            assert abs(value - 1 / d) < 0.3
 
 
 class TestBootstrap:
