@@ -3,7 +3,8 @@
 Every subcommand resolves its configuration, fans trials out over a
 worker pool, and writes one JSON result file (plus CSV when requested)
 with the schema {experiment, config, results, summary, seed, version,
-timestamp}.  Exit codes: 0 success, 2 precondition failure, 3
+timestamp}.  Exit codes: 0 success, 2 precondition or numerical failure
+(a ``LinAlgError`` or ``ZeroDivisionError`` in a trial), 3
 acceptance-threshold failure, 64 usage error.
 """
 
@@ -379,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
     return parser
 
 
@@ -428,6 +429,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             results, summary, ok = _run_crypto_blind(args)
     except PuriscopeError as exc:
         sys.stderr.write(f"precondition failure: {exc}\n")
+        return 2
+    except (np.linalg.LinAlgError, ZeroDivisionError) as exc:
+        sys.stderr.write(f"numerical failure: {type(exc).__name__}: {exc}\n")
         return 2
 
     config = {

@@ -13,6 +13,10 @@ Conventions used throughout the package:
   d x k columns with a thin QR and a k x k eigh, and forms ``matrix``
   only on first access; ``PureState.spectral()`` is the rank-1 spectrum.
   Partial traces and measurements take one path over spectral columns.
+* From 6 qubits on, :func:`eigh` diagonalises a Kronecker product of
+  per-qubit 2x2 factors (an embedded Pauli, ``eye(d) / d``) factor by
+  factor, in O(n d^2): one batched eigh of the 2x2 stack.  Every other
+  matrix takes a dense eigh.
 * Ranks count the eigenvalues above the fixed ``DEFAULT_RANK_TOL``
   (1e-9) relative to the largest magnitude.
 * ``trace_norm`` is the un-halved trace norm ``sum |eigenvalues|``; all
@@ -23,6 +27,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -31,6 +36,13 @@ import numpy as np
 from .errors import DimensionError, DomainError, ValidationError
 
 HERMITICITY_ATOL = 1e-10
+# eigh treats a matrix within this relative Frobenius distance of a product
+# of 2x2 factors as that product (Weyl: eigenvalues move <= this * ||M||_F),
+# from this many qubits on.  Below that the dense eigh is no slower, and small
+# product states (purify's diagonal rho_B) keep the roundoff that fixed-seed
+# Born sampling depends on.
+_FACTOR_RTOL = 1e-12
+_FACTOR_MIN_QUBITS = 6
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-9
 NORM_ATOL = 1e-12
@@ -50,10 +62,15 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def kron_all(*factors: np.ndarray) -> np.ndarray:
-    """Kronecker product of all factors, leftmost factor most significant."""
+    """Kronecker product of all factors, leftmost factor most significant.
+
+    A 1-D factor counts as one row.  Each step is the broadcast product
+    that ``np.kron`` forms, without its per-call overhead.
+    """
     out = np.array([[1.0 + 0j]])
     for f in factors:
-        out = np.kron(out, f)
+        f = np.atleast_2d(f)
+        out = (out[:, None, :, None] * f[:, None, :]).reshape(len(out) * len(f), -1)
     return out
 
 
@@ -284,14 +301,66 @@ def eigh(matrix: np.ndarray) -> SpectralDecomposition:
     block, columns are ordered lexicographically by their interleaved
     (real, imag) coefficients rounded to 10 decimals, so the result is
     deterministic given the input bytes.
+
+    A Kronecker product of n >= 6 Hermitian 2x2 factors (to 1e-12 relative
+    Frobenius distance, see :func:`_qubit_factors`) is diagonalised factor
+    by factor: eigenvalues multiplied out, eigenvectors Kronecker-multiplied.
+    Every other matrix takes one dense eigh; both end in the same canonical form.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     if not is_hermitian(m, HERMITICITY_ATOL):
         raise ValidationError("matrix is not Hermitian within 1e-10")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    return _canonical(w, v.astype(complex))
+    h = (m + m.conj().T) / 2
+    factors = _qubit_factors(h)
+    if factors is None:
+        w, v = np.linalg.eigh(h)
+        return _canonical(w, v.astype(complex))
+    w, v = np.linalg.eigh(factors)
+    return _canonical(functools.reduce(np.multiply.outer, w).reshape(-1), kron_all(*v))
+
+
+def _qubit_factors(h: np.ndarray) -> np.ndarray | None:
+    """Hermitian 2x2 factors whose Kronecker product is h, or None.
+
+    The factors are the fibres through h's largest-magnitude entry, one per
+    qubit, accepted only when their product is within _FACTOR_RTOL of h
+    (the rank-1 rearrangement test of Van Loan and Pitsianis, 1993).  Sizes
+    other than 2^n with n >= _FACTOR_MIN_QUBITS, and the zero matrix,
+    return None.
+    """
+    d = h.shape[0]
+    n = d.bit_length() - 1
+    if n < _FACTOR_MIN_QUBITS or d != 1 << n:
+        return None
+    r, c = divmod(int(np.abs(h).argmax()), d)
+    pivot = h[r, c]
+    if pivot == 0:
+        return None
+    # O(n) pre-check that rejects a generic matrix cheaply: in a product, the
+    # entry with every qubit flipped is the product of the single-flip ones.
+    flipped = pivot
+    for k in range(n):
+        flipped *= h[r ^ (1 << k), c ^ (1 << k)] / pivot
+    if abs(flipped - h[r ^ (d - 1), c ^ (d - 1)]) > _FACTOR_RTOL * d * abs(pivot):
+        return None
+    bits = 1 << np.arange(n - 1, -1, -1)
+    rows = (r & ~bits)[:, None] | bits[:, None] * [0, 1]
+    cols = (c & ~bits)[:, None] | bits[:, None] * [0, 1]
+    f = h[rows[:, :, None], cols[:, None, :]] / pivot
+    # Each f_k is a_k H_k with H_k Hermitian, so sum_ij f_ij f_ji has the
+    # phase of a_k^2; dividing out its square root leaves +-H_k.
+    s = np.sum(f * f.swapaxes(1, 2), axis=(1, 2))
+    if not s.all():
+        return None
+    phases = np.sqrt(s / np.abs(s))
+    f *= phases.conj()[:, None, None]
+    f[0] *= (pivot * np.prod(phases)).real
+    f = (f + f.conj().swapaxes(1, 2)) / 2
+    if np.linalg.norm(kron_all(*f) - h) > _FACTOR_RTOL * np.linalg.norm(h):
+        return None
+    return f
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
+import functools
 import json
+import operator
 import os
 
+import numpy as np
 import pytest
 
+from puriscope import cli
 from puriscope.cli import main
 
 
@@ -74,11 +78,12 @@ class TestCliContract:
             main(["definitely-not-real"])
         assert err.value.code == 64
 
-    def test_nonpositive_trials_exits_64(self, capsys):
+    @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--jobs", "0"), ("--jobs", "-1")])
+    def test_nonpositive_trials_exits_64(self, capsys, flag, value):
         with pytest.raises(SystemExit) as err:
-            main(["moment", "--n", "2", "--trials", "0", "--jobs", "1"])
+            main(["moment", "--n", "2", "--trials", "1", "--jobs", "1", flag, value])
         assert err.value.code == 64
-        assert "--trials" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "experiment, n", [("separation", "3..2"), ("moment", "abc"), ("moment", "2..1")]
@@ -101,6 +106,29 @@ class TestCliContract:
         )
         assert rc == 2
         assert payload is None
+
+    @pytest.mark.parametrize(
+        "fn, payload, error",
+        [
+            pytest.param(np.linalg.inv, np.zeros((2, 2)), "LinAlgError", id="LinAlgError"),
+            pytest.param(
+                functools.partial(operator.truediv, 1.0), 0.0, "ZeroDivisionError", id="ZeroDivisionError"
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_numerical_failure_exits_2(self, tmp_path, monkeypatch, capsys, fn, payload, error, jobs):
+        # jobs=2 raises in a pool worker, and the pool re-raises it in main.
+        monkeypatch.setattr(
+            cli, "_run_estimator", lambda args, kind: cli._parallel_map(fn, [payload] * 2, args.jobs)
+        )
+        out = tmp_path / "result.json"
+        rc = main(["pca", "--n", "3", "--trials", "2", "--jobs", str(jobs), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: {error}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_determinism_modulo_timestamp(self, tmp_path):
         _, first, _ = run_cli(

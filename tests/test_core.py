@@ -15,7 +15,18 @@ from puriscope import (
     trace_distance,
     trace_norm,
 )
-from puriscope.core import PAULI_X, PAULI_Z, PSD_ATOL, pauli_on
+from puriscope.core import (
+    PAULI_I,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    PSD_ATOL,
+    _FACTOR_MIN_QUBITS,
+    _canonical,
+    _qubit_factors,
+    kron_all,
+    pauli_on,
+)
 from puriscope.ensembles import child_rng, haar_state, haar_unitary, purify
 from puriscope.errors import DimensionError, DomainError, ValidationError
 from puriscope.estimators import _expectation_weights, _steer
@@ -312,6 +323,89 @@ class TestOneDiagonalisation:
             assert obs.spectral() is obs.spectral()
             assert obs.spectral_norm == 1.0
         assert calls == {"eigh": 2, "eigvalsh": 0}
+
+
+def _dense_eigh(matrix):
+    """The one-factor path: a dense np.linalg.eigh put in canonical form."""
+    m = np.asarray(matrix, dtype=complex)
+    w, v = np.linalg.eigh((m + m.conj().T) / 2)
+    return _canonical(w, v.astype(complex))
+
+
+def _random_factor(kind, rng):
+    """A Hermitian 2x2 factor: random, a scaled identity, or a signed rank-1 projector."""
+    if kind == "identity":
+        return rng.uniform(0.5, 2.0) * PAULI_I
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    if kind == "rank1":
+        return rng.choice([-1.0, 1.0]) * np.outer(z[:, 0], z[:, 0].conj())
+    return (z + z.conj().T) / 2
+
+
+@st.composite
+def _factor_cases(draw):
+    n = draw(st.integers(_FACTOR_MIN_QUBITS, _FACTOR_MIN_QUBITS + 1))
+    kinds = draw(st.lists(st.sampled_from(["random", "identity", "rank1"]), min_size=n, max_size=n))
+    return kinds, draw(st.integers(0, 2 ** 31))
+
+
+class TestFactoredEigh:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_embedded_paulis_equal_the_dense_path(self, n):
+        for qubit in range(n):
+            for pauli in (PAULI_X, PAULI_Y, PAULI_Z):
+                m = pauli_on(n, qubit, pauli)
+                assert (_qubit_factors(m) is None) == (n < _FACTOR_MIN_QUBITS)
+                spec, reference = eigh(m), _dense_eigh(m)
+                np.testing.assert_array_equal(spec.eigenvalues, reference.eigenvalues)
+                np.testing.assert_array_equal(spec.eigenvectors, reference.eigenvectors)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_maximally_mixed_equals_the_dense_path(self, n):
+        m = np.eye(2 ** n) / 2 ** n
+        assert (_qubit_factors(m.astype(complex)) is None) == (n < _FACTOR_MIN_QUBITS)
+        spec, reference = DensityMatrix(m, n).spectral(), _dense_eigh(m)
+        np.testing.assert_array_equal(spec.eigenvalues, reference.eigenvalues)
+        np.testing.assert_array_equal(spec.eigenvectors, reference.eigenvectors)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(_factor_cases())
+    def test_products_of_hermitian_factors_match_dense(self, case):
+        kinds, seed = case
+        rng = child_rng(200, seed)
+        m = kron_all(*(_random_factor(kind, rng) for kind in kinds))
+        assert _qubit_factors(m) is not None
+        spec, reference = eigh(m), _dense_eigh(m)
+        w, w_ref = spec.eigenvalues, reference.eigenvalues
+        scale = np.abs(w_ref).max()
+        assert np.abs(w - w_ref).max() <= 1e-12 * scale
+        assert np.abs(spec.reconstruct() - m).max() <= 1e-12 * scale
+        padded = np.concatenate([[np.inf], w_ref, [-np.inf]])
+        for j in range(w.size):
+            if min(padded[j] - padded[j + 1], padded[j + 1] - padded[j + 2]) >= 1e-6 * scale:
+                a, b = spec.eigenvectors[:, j], reference.eigenvectors[:, j]
+                assert np.abs(np.outer(a, a.conj()) - np.outer(b, b.conj())).max() < 1e-10
+
+    def test_other_inputs_take_the_dense_path_unchanged(self):
+        rng = child_rng(201)
+        z = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        dz = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        six = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        cases = [
+            (z + z.conj().T) / 2,
+            pauli_on(6, 1, PAULI_X) + 1e-9 * (dz + dz.conj().T) / 2,
+            (six + six.conj().T) / 2,
+            np.zeros((64, 64), dtype=complex),
+        ]
+        for m in cases:
+            assert _qubit_factors(m) is None
+            spec, reference = eigh(m), _dense_eigh(m)
+            assert spec.eigenvalues.tobytes() == reference.eigenvalues.tobytes()
+            assert spec.eigenvectors.tobytes() == reference.eigenvectors.tobytes()
+
+    def test_non_hermitian_product_is_rejected(self):
+        with pytest.raises(ValidationError, match="matrix is not Hermitian within 1e-10"):
+            eigh(kron_all(PAULI_X, np.array([[0, 1], [0, 0]], dtype=complex)))
 
 
 class TestMomentTrace:

@@ -26,7 +26,7 @@ from puriscope import (
     sample_ensemble,
     schmidt_decompose,
 )
-from puriscope.core import PAULI_X, PAULI_Z, kron_all, pauli_on
+from puriscope.core import PAULI_X, PAULI_Y, PAULI_Z, kron_all, pauli_on
 from puriscope.errors import (
     DomainError,
     GapError,
@@ -579,6 +579,14 @@ class TestNoPayloadSizedDenseStep:
         assert result["acceptance"] in (0.0, 1.0)
         assert shapes, "the counters saw no work"
         assert max(max(shape) for shape in shapes) < 2 ** nA, sorted(set(shapes))
+
+    def test_embedded_pauli_observables_at_na_10(self, monkeypatch):
+        shapes = record_diagonalised_shapes(monkeypatch)
+        for qubit in (0, 9):
+            for pauli in (PAULI_X, PAULI_Y, PAULI_Z):
+                Observable(pauli_on(10, qubit, pauli))
+        assert shapes, "the counters saw no work"
+        assert max(max(shape) for shape in shapes) <= 2, sorted(set(shapes))
 
 
 class TestQfiOracleMatchesDenseReference:
