@@ -388,14 +388,14 @@ class TestFactoredEigh:
 
     def test_other_inputs_take_the_dense_path_unchanged(self):
         rng = child_rng(201)
-        z = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
-        dz = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        z = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
+        dz = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
         six = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         cases = [
             (z + z.conj().T) / 2,
-            pauli_on(6, 1, PAULI_X) + 1e-9 * (dz + dz.conj().T) / 2,
+            pauli_on(7, 1, PAULI_X) + 1e-9 * (dz + dz.conj().T) / 2,
             (six + six.conj().T) / 2,
-            np.zeros((64, 64), dtype=complex),
+            np.zeros((128, 128), dtype=complex),
         ]
         for m in cases:
             assert _qubit_factors(m) is None
