@@ -83,9 +83,11 @@ def basis_state(n: int, index: int = 0) -> np.ndarray:
     return v
 
 
-def is_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
+def _hermitian_part(m: np.ndarray, atol: float) -> np.ndarray | None:
+    """(m + m^H) / 2, or None when |m - m^H| exceeds atol * max(1, max |m|)."""
+    mh = m.conj().T
     scale = max(1.0, float(np.abs(m).max())) if m.size else 1.0
-    return bool(np.abs(m - m.conj().T).max() <= atol * scale)
+    return (m + mh) / 2 if np.abs(m - mh).max() <= atol * scale else None
 
 
 def _column_phases(v: np.ndarray) -> np.ndarray:
@@ -305,9 +307,9 @@ def eigh(matrix: np.ndarray) -> SpectralDecomposition:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    if not is_hermitian(m, HERMITICITY_ATOL):
+    h = _hermitian_part(m, HERMITICITY_ATOL)
+    if h is None:
         raise ValidationError("matrix is not Hermitian within 1e-10")
-    h = (m + m.conj().T) / 2
     factors = _qubit_factors(h)
     if factors is None:
         w, v = np.linalg.eigh(h)
@@ -476,8 +478,8 @@ def matrix_power_trace(rho: DensityMatrix, t: int) -> float:
 def trace_norm(m: np.ndarray) -> float:
     """Un-halved trace norm: sum of absolute eigenvalues (singular values)."""
     m = np.asarray(m, dtype=complex)
-    if is_hermitian(m, 1e-8):
-        return float(np.abs(np.linalg.eigvalsh((m + m.conj().T) / 2)).sum())
+    if (h := _hermitian_part(m, 1e-8)) is not None:
+        return float(np.abs(np.linalg.eigvalsh(h)).sum())
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 

@@ -8,7 +8,6 @@ given (inputs, seed).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Union
@@ -22,7 +21,6 @@ from .core import (
     SpectralDecomposition,
     StateLike,
     eigh,
-    kron_all,
 )
 from .errors import DimensionError, DomainError, GuardError, InsufficientDataError, ValidationError
 
@@ -33,11 +31,10 @@ TOMOGRAPHY_GUARD = 64  # largest dimension tomography reconstructs
 _FRAME_CHUNK = 2 ** 21
 _QR_BLOCK = 2 ** 16
 
-_EIGENBASIS = {
-    "X": HADAMARD,
-    "Y": np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2),
-    "Z": np.eye(2, dtype=complex),
-}
+# Eigenbases of X, Y and Z (columns), stacked: one qubit's tomography settings.
+_PAULI_BASES = np.array(
+    [HADAMARD, np.array([[1, 1], [1j, -1j]]) / np.sqrt(2), np.eye(2)], dtype=complex
+)
 
 
 @dataclass(frozen=True)
@@ -78,23 +75,29 @@ def born_probabilities(state: StateLike, basis: Union[np.ndarray, tuple]) -> np.
     """Outcome probabilities for measuring in the given orthonormal basis.
 
     ``basis`` is one unitary or a tuple of tensor factors, leftmost factor
-    most significant.  The state's support columns are rotated factor by
-    factor, so a product basis is never formed as one matrix.
+    most significant.  A factor may also be a (k, d_i, d_i) stack of
+    alternative bases: each stack adds a setting axis of length k to the
+    result, in factor order, ahead of the outcome axis.  The state's
+    support columns are rotated factor by factor, so a product basis is
+    never formed as one matrix.
     """
     factors = basis if isinstance(basis, tuple) else (basis,)
     factors = [np.asarray(f, dtype=complex) for f in factors]
-    dims = [f.shape[0] for f in factors]
+    settings = tuple(f.shape[0] for f in factors if f.ndim == 3)
+    dims = [f.shape[-1] for f in factors]
     if math.prod(dims) != state.dim:
         raise DimensionError(f"basis dimension {math.prod(dims)} != state dimension {state.dim}")
     columns, weights = _support(state)
     t = columns.reshape(dims + [-1])
-    for axis, u in enumerate(factors):
-        moved = np.moveaxis(t, axis, 0)
-        rotated = u.conj().T @ moved.reshape(dims[axis], -1)
-        t = np.moveaxis(rotated.reshape(moved.shape), 0, axis)
-    p = (np.abs(t) ** 2).reshape(state.dim, -1) @ weights
-    p = np.clip(p.real, 0.0, None)
-    return p / p.sum()
+    for i, f in enumerate(factors):
+        # t is (k_{i-1}, d_{i-1}, ..., k_0, d_0, d_i, ..., r); an unstacked factor has k = 1
+        t = np.tensordot(f.reshape((-1,) + f.shape[-2:]).conj(), t, axes=([1], [2 * i]))
+    m = len(factors)
+    p = ((np.abs(t) ** 2).reshape(-1, weights.size) @ weights).reshape(t.shape[:-1])
+    # setting axes first, then outcome axes, each with factor 0 leading
+    p = p.transpose(list(range(2 * m - 2, -1, -2)) + list(range(2 * m - 1, 0, -2)))
+    p = np.clip(p.reshape(settings + (state.dim,)), 0.0, None)
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def measure_in_basis(
@@ -102,21 +105,19 @@ def measure_in_basis(
 ) -> np.ndarray:
     """Histogram of computational outcomes after rotating into ``basis``.
 
-    ``basis`` is one unitary or a tuple of tensor factors, as in
-    :func:`born_probabilities`.  Returns an integer array of length 2**n
-    whose entries sum to ``shots``.
+    ``basis`` is as in :func:`born_probabilities`.  Returns an integer
+    array of the probabilities' shape whose entries sum to ``shots``.  A
+    stacked basis splits the shots evenly over its settings, the first
+    ``shots % settings`` settings taking one more, and draws every
+    setting with one multinomial call.
     """
     if shots < 1:
         raise DomainError("shots must be >= 1")
     probs = born_probabilities(state, basis)
-    return rng.multinomial(shots, probs)
-
-
-def histogram_to_json(counts: np.ndarray) -> dict[str, int]:
-    """Bitstring-keyed JSON object for an outcome histogram."""
-    counts = np.asarray(counts)
-    n = int(np.log2(counts.size))
-    return {format(k, f"0{n}b"): int(c) for k, c in enumerate(counts) if c}
+    settings = probs.shape[:-1]
+    per, extra = divmod(shots, math.prod(settings))
+    shares = per + (np.arange(math.prod(settings)) < extra)
+    return rng.multinomial(shares.reshape(settings), probs)
 
 
 def measure_observable(
@@ -160,8 +161,9 @@ def measure_observable_with_stderr(
 class TomographyResult:
     """PSD-projected state estimate plus the raw data that produced it.
 
-    ``setting_counts[s, k]`` is how often setting s (the product-Pauli
-    settings in ``itertools.product("XYZ", repeat=m)`` order) gave outcome k.
+    ``setting_counts[s, k]`` is how often product-Pauli setting s gave
+    outcome k, settings in ``itertools.product("XYZ", repeat=m)`` order
+    (qubit 0 most significant): one stacked :func:`measure_in_basis` draw.
     """
 
     estimate: DensityMatrix
@@ -171,16 +173,12 @@ class TomographyResult:
     setting_counts: np.ndarray = field(repr=False)
 
 
-def _setting_basis(setting: str) -> np.ndarray:
-    return kron_all(*(_EIGENBASIS[letter] for letter in setting))
-
-
 # _SNAPSHOT[letter, bit] = 3|b><b| - I for eigenvector b of X, Y or Z: the
 # inverse of the single-qubit measurement channel (classical shadows).
 _SNAPSHOT = np.array(
     [
         [3 * np.outer(u[:, b], u[:, b].conj()) - np.eye(2) for b in (0, 1)]
-        for u in (_EIGENBASIS["X"], _EIGENBASIS["Y"], _EIGENBASIS["Z"])
+        for u in _PAULI_BASES
     ]
 )
 
@@ -217,10 +215,11 @@ def _shadow_inverse(counts: np.ndarray) -> np.ndarray:
 def tomography(state: StateLike, shots: int, rng: np.random.Generator) -> TomographyResult:
     """Pauli-basis linear-inversion tomography with PSD projection.
 
-    Shots are split evenly over the 3**m product-Pauli settings; the raw
-    linear-inversion matrix is kept alongside the projected estimate so
-    callers can bootstrap derived functionals.  A 0-qubit state draws no
-    shots.
+    One :func:`measure_in_basis` call on the stack of X, Y and Z eigenbases
+    per qubit draws all 3**m product-Pauli settings, the shots split evenly
+    over them; the raw linear-inversion matrix is kept alongside the
+    projected estimate so callers can bootstrap derived functionals.  A
+    0-qubit state draws no shots.
     """
     m = state.n
     d = state.dim
@@ -228,19 +227,15 @@ def tomography(state: StateLike, shots: int, rng: np.random.Generator) -> Tomogr
         raise GuardError(f"dimension {d} exceeds the tomography guard {TOMOGRAPHY_GUARD}")
     if m and shots < d ** 2:
         raise InsufficientDataError(f"{shots} shots below the d^2 = {d ** 2} floor")
-    settings = ["".join(s) for s in itertools.product("XYZ", repeat=m)]
-    per, extra = divmod(shots, len(settings))
-    counts = np.zeros((len(settings), d), dtype=np.int64)
-    for k, setting in enumerate(settings if m else ()):
-        basis = _setting_basis(setting)
-        n_shots = per + (1 if k < extra else 0)
-        counts[k] = measure_in_basis(state, basis, n_shots, rng)
+    counts = np.zeros((1, 1), dtype=np.int64)
+    if m:
+        counts = measure_in_basis(state, (_PAULI_BASES,) * m, shots, rng).reshape(3 ** m, d)
     raw = _shadow_inverse(counts)
     projected = eigh(raw).apply(_psd_weights)
     return TomographyResult(
         estimate=DensityMatrix(projected, m),
         raw_shots=int(counts.sum()),
-        basis_settings=len(settings),
+        basis_settings=len(counts),
         linear_inversion=raw,
         setting_counts=counts,
     )

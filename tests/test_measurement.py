@@ -24,8 +24,9 @@ from puriscope.errors import (
     InsufficientDataError,
     ValidationError,
 )
+from puriscope import measurement
 from puriscope.measurement import (
-    _setting_basis,
+    _PAULI_BASES,
     _shadow_inverse,
     born_probabilities,
     bootstrap_stderr,
@@ -38,6 +39,20 @@ def mixed_state(n, rank, rng, weights=None):
     u = haar_unitary(d, rng)
     w = np.asarray(weights, float) if weights is not None else rng.dirichlet(np.ones(rank))
     return DensityMatrix((u[:, :rank] * w) @ u[:, :rank].conj().T, n)
+
+
+def per_setting_probabilities(state, m):
+    """Reference table: one dense Kronecker basis per product-Pauli setting.
+
+    Rows follow ``itertools.product("XYZ", repeat=m)``, qubit 0 most
+    significant.
+    """
+    return np.stack(
+        [
+            born_probabilities(state, kron_all(*(_PAULI_BASES["XYZ".index(p)] for p in setting)))
+            for setting in itertools.product("XYZ", repeat=m)
+        ]
+    )
 
 
 class TestShotBudget:
@@ -129,13 +144,6 @@ class TestMeasureInBasis:
         counts = measure_in_basis(state, HADAMARD, 100, child_rng(8))
         assert counts[0] == 100
 
-    def test_histogram_json(self):
-        from puriscope.measurement import histogram_to_json
-
-        state = PureState(np.array([1.0, 0, 0, 0]), 2)
-        counts = measure_in_basis(state, np.eye(4, dtype=complex), 25, child_rng(36))
-        assert histogram_to_json(counts) == {"00": 25}
-
     def test_total_variation_concentrates(self):
         rng = child_rng(9)
         state = PureState(
@@ -162,6 +170,32 @@ class TestMeasureInBasis:
                 reference = np.real(np.einsum("ik,ij,jk->k", dense.conj(), rho, dense))
                 probs = born_probabilities(state, factors)
                 assert np.abs(probs - reference).max() < 1e-12
+
+    def test_stacked_factors_match_per_setting_bases(self):
+        # Each (3, 2, 2) stack adds a setting axis, qubit 0 most significant.
+        rng = child_rng(43)
+        for m in range(1, 6):
+            d = 2 ** m
+            z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            states = (
+                PureState(z / np.linalg.norm(z), m),
+                mixed_state(m, d, rng),
+                mixed_state(m, min(3, d - 1), rng),
+            )
+            for state in states:
+                stacked = born_probabilities(state, (_PAULI_BASES,) * m)
+                assert stacked.shape == (3,) * m + (d,)
+                reference = per_setting_probabilities(state, m)
+                assert np.abs(stacked.reshape(3 ** m, d) - reference).max() < 1e-15
+
+    def test_stacked_shots_split_evenly_over_settings(self):
+        rho = mixed_state(2, 3, child_rng(44))
+        basis = (_PAULI_BASES, haar_unitary(2, child_rng(45)))
+        for shots in (1, 2, 3, 10, 1001):
+            counts = measure_in_basis(rho, basis, shots, child_rng(46, shots))
+            assert counts.shape == (3, 4)
+            per, extra = divmod(shots, 3)
+            np.testing.assert_array_equal(counts.sum(axis=1), [per + (k < extra) for k in range(3)])
 
 
 class TestTomography:
@@ -199,13 +233,32 @@ class TestTomography:
         # Born probabilities in place of counts: linear inversion is exact.
         for m in (1, 2, 3, 4):
             rho = mixed_state(m, 2 ** m, child_rng(39, m))
-            table = np.stack(
-                [
-                    born_probabilities(rho, _setting_basis("".join(s)))
-                    for s in itertools.product("XYZ", repeat=m)
-                ]
-            )
+            table = born_probabilities(rho, (_PAULI_BASES,) * m).reshape(3 ** m, 2 ** m)
             assert np.abs(_shadow_inverse(table) - rho.matrix).max() < 1e-12
+
+    def test_one_draw_for_all_settings(self, monkeypatch):
+        calls = []
+        real = measurement.measure_in_basis
+
+        def counted(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(measurement, "measure_in_basis", counted)
+        result = tomography(mixed_state(3, 2, child_rng(47)), 1000, child_rng(48))
+        assert calls == [1000]
+        assert result.setting_counts.shape == (27, 8)
+
+    def test_counts_are_per_setting_multinomials(self):
+        # One broadcast draw consumes the generator as a per-setting loop would.
+        for m, shots in ((1, 10), (2, 1000), (3, 2000)):
+            rho = mixed_state(m, 2, child_rng(49, m))
+            counts = tomography(rho, shots, child_rng(50, m)).setting_counts
+            probs = born_probabilities(rho, (_PAULI_BASES,) * m).reshape(3 ** m, -1)
+            per, extra = divmod(shots, 3 ** m)
+            rng = child_rng(50, m)
+            loop = [rng.multinomial(per + (k < extra), p) for k, p in enumerate(probs)]
+            np.testing.assert_array_equal(counts, loop)
 
     def test_zero_qubit_register_reconstructs_to_one(self):
         np.testing.assert_array_equal(_shadow_inverse(np.zeros((1, 1))), [[1.0]])
