@@ -1,11 +1,13 @@
 """Batch experiment runner.
 
-Every subcommand resolves its configuration, fans trials out over a
-worker pool, and writes one JSON result file (plus CSV when requested)
-with the schema {experiment, config, results, summary, seed, version,
-timestamp}.  Exit codes: 0 success, 2 precondition or numerical failure
-(a ``LinAlgError`` or ``ZeroDivisionError`` in a trial), 3
-acceptance-threshold failure, 64 usage error.
+Every subcommand resolves its configuration, runs its trials and writes
+one JSON result file (plus CSV when requested) with the schema
+{experiment, config, results, summary, seed, version, timestamp}.  The
+estimator, channel and swap-test trials and the RMSE trials of
+separation fan out over ``--jobs`` worker processes; the other trials
+run in order in one process.  Exit codes: 0 success, 2 precondition or
+numerical failure (a ``LinAlgError`` or ``ZeroDivisionError`` in a
+trial), 3 acceptance-threshold failure, 64 usage error.
 """
 
 from __future__ import annotations
@@ -57,21 +59,6 @@ IDENTITY_TOLERANCE = 1e-9
 ERROR_GATE = 0.1
 CHANNEL_GATE = 0.05
 
-EXPERIMENTS = (
-    "identities",
-    "moment",
-    "cooling",
-    "pca",
-    "qfi",
-    "channel-unitarity",
-    "channel-distill",
-    "channel-pca",
-    "separation",
-    "crypto-verify",
-    "crypto-blind",
-    "swap-test",
-)
-
 
 def _default_weights(rank: int) -> tuple[float, ...]:
     """Geometric ladder 2^(r-1-i), normalized; keeps QFI-style gaps open."""
@@ -93,28 +80,38 @@ def _sample_state(n: int, rank: int, seed: int, trial: int):
     return sample_ensemble(spec, child_rng(seed, trial))
 
 
+def _on_qubit0(n: int, pauli: np.ndarray = PAULI_Z) -> Observable:
+    """The observable the CLI estimators read: one Pauli on qubit 0 of n."""
+    return Observable(pauli_on(n, 0, pauli))
+
+
+def _trial_seed(seed: int, trial: int) -> int:
+    return int(child_rng(seed, trial, 1).integers(2 ** 31))
+
+
+def _row(report, trial: int, **extra) -> dict:
+    """A trial's result row: its report's JSON without ``extras``, plus the trial index."""
+    row = report.to_json()
+    del row["extras"]
+    return {**row, "trial": trial, **extra}
+
+
 def _estimator_trial(payload: tuple) -> dict:
     """One estimator trial; module level so process pools can pickle it."""
     kind, n, rank, ancilla, t, budget, seed, trial = payload
     sample = _sample_state(n, rank, seed, trial)
     psi = purify(sample.rho, ancilla)
-    trial_seed = int(child_rng(seed, trial, 1).integers(2 ** 31))
+    trial_seed = _trial_seed(seed, trial)
     split = ShotBudget.split(budget)
     if kind == "moment":
         report = estimate_moment(psi, t, ShotBudget(tomography_shots=budget), trial_seed)
     elif kind == "cooling":
-        obs = Observable(pauli_on(n, 0, PAULI_Z))
-        report = estimate_virtual_cooling(psi, obs, t, split, trial_seed)
+        report = estimate_virtual_cooling(psi, _on_qubit0(n), t, split, trial_seed)
     elif kind == "pca":
-        obs = Observable(pauli_on(n, 0, PAULI_Z))
-        report = estimate_pca(psi, obs, split, trial_seed)
+        report = estimate_pca(psi, _on_qubit0(n), split, trial_seed)
     else:
-        obs = Observable(pauli_on(n, 0, PAULI_X))
-        report = estimate_qfi(psi, obs, split, trial_seed)
-    out = report.to_json()
-    out["trial"] = trial
-    out.pop("extras", None)
-    return out
+        report = estimate_qfi(psi, _on_qubit0(n, PAULI_X), split, trial_seed)
+    return _row(report, trial)
 
 
 def _channel_trial(payload: tuple) -> dict:
@@ -122,7 +119,7 @@ def _channel_trial(payload: tuple) -> dict:
     rng = child_rng(seed, trial)
     channel = random_channel(n, rank, rng)
     iso = canonicalize(channel)
-    trial_seed = int(child_rng(seed, trial, 1).integers(2 ** 31))
+    trial_seed = _trial_seed(seed, trial)
     split = ShotBudget.split(budget)
     if kind == "channel-unitarity":
         report = unitarity_estimate(iso, ShotBudget(tomography_shots=budget), trial_seed)
@@ -131,37 +128,27 @@ def _channel_trial(payload: tuple) -> dict:
         state_vec = np.zeros((d, d), dtype=complex)
         state_vec[0, 0] = 1.0
         rho_in = DensityMatrix(state_vec, n)
-        obs = Observable(pauli_on(n, 0, PAULI_Z))
+        obs = _on_qubit0(n)
         if kind == "channel-distill":
             report = virtual_distillation_estimate(iso, rho_in, obs, split, trial_seed)
         else:
             report = channel_pca_estimate(iso, rho_in, obs, split, trial_seed)
-    out = report.to_json()
-    out["trial"] = trial
-    out.pop("extras", None)
-    return out
+    return _row(report, trial)
 
 
 def _swap_trial(payload: tuple) -> dict:
     n, rank, t, shots, seed, trial = payload
     sample = _sample_state(n, rank, seed, trial)
-    obs = Observable(pauli_on(n, 0, PAULI_Z))
-    trial_seed = int(child_rng(seed, trial, 1).integers(2 ** 31))
-    report = swap_test_moment(sample.rho, obs, t, shots, trial_seed)
-    exact_gap = abs(report.extras["exact_expectation"] - report.truth)
-    out = report.to_json()
-    out["trial"] = trial
-    out["exact_oracle_gap"] = exact_gap
-    out.pop("extras", None)
-    return out
+    report = swap_test_moment(sample.rho, _on_qubit0(n), t, shots, _trial_seed(seed, trial))
+    gap = abs(report.extras["exact_expectation"] - report.truth)
+    return _row(report, trial, exact_oracle_gap=gap)
 
 
 def _rmse_trial(payload: tuple) -> dict:
     family_value, n, strategy, budget, seed, trial = payload
     spec = EnsembleSpec(EnsembleFamily(family_value), n)
     sample = sample_ensemble(spec, child_rng(seed, trial))
-    trial_seed = int(child_rng(seed, trial, 1).integers(2 ** 31))
-    value = _estimate_statistic(sample.rho, "purity", strategy, budget, trial_seed)
+    value = _estimate_statistic(sample.rho, "purity", strategy, budget, _trial_seed(seed, trial))
     return {"trial": trial, "error": value - sample.rho.purity()}
 
 
@@ -170,6 +157,12 @@ def _parallel_map(fn: Callable, payloads: list, jobs: int) -> list:
         return [fn(p) for p in payloads]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, payloads, chunksize=max(1, len(payloads) // (4 * jobs))))
+
+
+def _fan_out(fn: Callable, config: tuple, args) -> list:
+    """``fn`` on ``(*config, args.seed, trial)`` for every trial, over ``args.jobs`` workers."""
+    payloads = [(*config, args.seed, trial) for trial in range(args.trials)]
+    return _parallel_map(fn, payloads, args.jobs)
 
 
 def _version_string() -> str:
@@ -236,34 +229,27 @@ def _run_identities(args) -> tuple[list, dict, bool]:
     return results, {"max_deviation": worst, "tolerance": IDENTITY_TOLERANCE}, ok
 
 
-def _run_estimator(args, kind: str) -> tuple[list, dict, bool]:
+def _error_summary(results: list) -> dict:
+    errors = [abs(r["abs_error"]) for r in results]
+    return {"mean_abs_error": float(np.mean(errors)), "max_abs_error": float(np.max(errors))}
+
+
+def _run_estimator(args) -> tuple[list, dict, bool]:
     ancilla = _ancilla_for(args.rank, args.ancilla)
-    payloads = [
-        (kind, args.n, args.rank, ancilla, args.t, args.budget, args.seed, trial)
-        for trial in range(args.trials)
-    ]
-    results = _parallel_map(_estimator_trial, payloads, args.jobs)
-    errors = [abs(r["abs_error"]) for r in results]
-    mean_err = float(np.mean(errors))
-    summary = {"mean_abs_error": mean_err, "max_abs_error": float(np.max(errors))}
-    return results, summary, mean_err <= ERROR_GATE
+    config = (args.experiment, args.n, args.rank, ancilla, args.t, args.budget)
+    results = _fan_out(_estimator_trial, config, args)
+    summary = _error_summary(results)
+    return results, summary, summary["mean_abs_error"] <= ERROR_GATE
 
 
-def _run_channel(args, kind: str) -> tuple[list, dict, bool]:
-    payloads = [
-        (kind, args.n, args.rank, args.budget, args.seed, trial) for trial in range(args.trials)
-    ]
-    results = _parallel_map(_channel_trial, payloads, args.jobs)
-    errors = [abs(r["abs_error"]) for r in results]
-    summary = {"mean_abs_error": float(np.mean(errors)), "max_abs_error": float(np.max(errors))}
+def _run_channel(args) -> tuple[list, dict, bool]:
+    results = _fan_out(_channel_trial, (args.experiment, args.n, args.rank, args.budget), args)
+    summary = _error_summary(results)
     return results, summary, summary["max_abs_error"] <= CHANNEL_GATE
 
 
 def _run_swap(args) -> tuple[list, dict, bool]:
-    payloads = [
-        (args.n, args.rank, args.t, args.budget, args.seed, trial) for trial in range(args.trials)
-    ]
-    results = _parallel_map(_swap_trial, payloads, args.jobs)
+    results = _fan_out(_swap_trial, (args.n, args.rank, args.t, args.budget), args)
     exact_gaps = [r["exact_oracle_gap"] for r in results]
     sampled_z = [
         abs(r["value"] - r["truth"]) / max(r["stderr"], 1e-12) for r in results
@@ -291,12 +277,8 @@ def _run_separation(args) -> tuple[list, dict, bool]:
         for strategy in ("purification", "single_copy"):
             row = {"n": n, "strategy": strategy, "budget": args.budget}
             if args.task == "purity":
-                payloads = [
-                    (fam_a.value, n, strategy, args.budget, args.seed, trial)
-                    for trial in range(args.trials)
-                ]
-                errs = [r["error"] for r in _parallel_map(_rmse_trial, payloads, args.jobs)]
-                row["rmse"] = float(np.sqrt(np.mean(np.square(errs))))
+                trials = _fan_out(_rmse_trial, (fam_a.value, n, strategy, args.budget), args)
+                row["rmse"] = float(np.sqrt(np.mean(np.square([r["error"] for r in trials]))))
             pair = (EnsembleSpec(fam_a, n), EnsembleSpec(fam_b, n))
             outcome = distinguish_experiment(pair, strategy, args.budget, args.trials, args.seed)
             row.update(
@@ -318,7 +300,7 @@ def _run_crypto_verify(args) -> tuple[list, dict, bool]:
     results = []
     rates = {}
     for kind in ServerKind:
-        server = ServerModel(kind, ShotBudget(observable_shots=args.budget))
+        server = ServerModel(kind, args.budget)
         out = run_verification(args.n, server, args.trials, args.seed, client_shots=args.budget)
         results.append(out)
         rates[kind.value] = out["acceptance"]
@@ -330,11 +312,9 @@ def _run_crypto_verify(args) -> tuple[list, dict, bool]:
 def _run_crypto_blind(args) -> tuple[list, dict, bool]:
     rng = child_rng(args.seed, 0)
     u = haar_unitary(2 ** args.n, rng)
-    obs = Observable(pauli_on(args.n, 0, PAULI_Z))
+    obs = _on_qubit0(args.n)
     res = run_blind_estimation(u, obs, args.rounds, args.seed, record_transcript=True)
-    transcript_path = Path(args.out).with_suffix(".transcript.jsonl") if args.out else Path(
-        f"crypto-blind_seed{args.seed}.transcript.jsonl"
-    )
+    transcript_path = Path(args.out).with_suffix(".transcript.jsonl")
     write_transcript(transcript_path, res.transcript)
     print(f"transcript -> {transcript_path}")
     row = res.to_json()
@@ -350,11 +330,32 @@ def _run_crypto_blind(args) -> tuple[list, dict, bool]:
     return [row], summary, ok
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+# Experiment name -> runner(args) returning (result rows, summary metrics,
+# pass); the order is the subcommand order of ``--help``.
+EXPERIMENTS: dict[str, Callable] = {
+    "identities": _run_identities,
+    "moment": _run_estimator,
+    "cooling": _run_estimator,
+    "pca": _run_estimator,
+    "qfi": _run_estimator,
+    "channel-unitarity": _run_channel,
+    "channel-distill": _run_channel,
+    "channel-pca": _run_channel,
+    "separation": _run_separation,
+    "crypto-verify": _run_crypto_verify,
+    "crypto-blind": _run_crypto_blind,
+    "swap-test": _run_swap,
+}
+
+
+def _int_at_least(low: int) -> Callable[[str], int]:
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
 
 
 class _Parser(argparse.ArgumentParser):
@@ -374,23 +375,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rank", type=int, default=2)
         p.add_argument("--t", type=int, default=2, help="moment order")
         p.add_argument("--budget", type=int, default=20_000, help="total shots per trial")
-        p.add_argument("--trials", type=_positive_int, default=20)
+        p.add_argument("--trials", type=_int_at_least(1), default=20)
         p.add_argument("--rounds", type=int, default=10_000, help="crypto-blind rounds")
         p.add_argument("--task", choices=sorted(_SEPARATION_PAIRS), default="purity")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_int_at_least(0), default=None)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
+        p.add_argument("--jobs", type=_int_at_least(1), default=os.cpu_count() or 1)
     return parser
 
 
-def _resolve_seed(seed: Optional[int]) -> int:
+def _resolve_seed(parser: argparse.ArgumentParser, seed: Optional[int]) -> int:
+    """``--seed``, else ``PURISCOPE_SEED``, else 1234; a bad variable is a usage error."""
     if seed is not None:
         return seed
-    env = os.environ.get("PURISCOPE_SEED")
-    if env is not None:
-        return int(env)
-    return 1234
+    env = os.environ.get("PURISCOPE_SEED", "1234")
+    try:
+        return _int_at_least(0)(env)
+    except (ValueError, argparse.ArgumentTypeError):
+        parser.error(f"PURISCOPE_SEED={env!r} is not a non-negative integer")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -407,26 +410,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     if not n_values:
         parser.error(f"--n {args.n!r} names no qubit count (use N, N..M or N,M,...)")
 
-    args.seed = _resolve_seed(args.seed)
+    args.seed = _resolve_seed(parser, args.seed)
     experiment = args.experiment
+    args.out = args.out or f"{experiment}_seed{args.seed}.json"
     if experiment != "separation":
         args.n = n_values[0]
 
     try:
-        if experiment == "identities":
-            results, summary, ok = _run_identities(args)
-        elif experiment in ("moment", "cooling", "pca", "qfi"):
-            results, summary, ok = _run_estimator(args, experiment)
-        elif experiment in ("channel-unitarity", "channel-distill", "channel-pca"):
-            results, summary, ok = _run_channel(args, experiment)
-        elif experiment == "swap-test":
-            results, summary, ok = _run_swap(args)
-        elif experiment == "separation":
-            results, summary, ok = _run_separation(args)
-        elif experiment == "crypto-verify":
-            results, summary, ok = _run_crypto_verify(args)
-        else:
-            results, summary, ok = _run_crypto_blind(args)
+        results, summary, ok = EXPERIMENTS[experiment](args)
     except PuriscopeError as exc:
         sys.stderr.write(f"precondition failure: {exc}\n")
         return 2
@@ -446,7 +437,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         "version": _version_string(),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    out_path = Path(args.out) if args.out else Path(f"{experiment}_seed{args.seed}.json")
+    out_path = Path(args.out)
     _write_outputs(payload, out_path, args.format)
     print(f"{experiment}: {'pass' if ok else 'FAIL'} -> {out_path}")
     return 0 if ok else 3

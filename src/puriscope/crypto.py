@@ -8,8 +8,9 @@ JSON object, so audits can be replayed offline.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -18,7 +19,7 @@ import numpy as np
 from .core import DensityMatrix, Observable, PureState, basis_state, partial_trace, trace_norm
 from .ensembles import child_rng, verification_state, _haar_vector
 from .errors import DomainError
-from .measurement import ShotBudget, born_probabilities, tomography
+from .measurement import born_probabilities, tomography
 from .baselines import single_copy_purity_attack
 
 ALPHAS = (math.sqrt(0.9), math.sqrt(0.5))
@@ -38,7 +39,7 @@ class ServerModel:
     """Which estimator family the simulated server may call."""
 
     kind: ServerKind
-    budget: ShotBudget = ShotBudget(observable_shots=10_000)
+    budget: int = 10_000  # shots of the single-copy server's purity attack
 
 
 @dataclass
@@ -49,12 +50,7 @@ class TranscriptEntry:
     client_side_data: Optional[int] = None
 
     def to_json(self) -> dict:
-        return {
-            "round": self.round,
-            "client_action": self.client_action,
-            "server_report": self.server_report,
-            "client_side_data": self.client_side_data,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def run_verification(
@@ -92,7 +88,7 @@ def run_verification(
         elif server.kind is ServerKind.SINGLE_COPY_LIMITED:
             rho_a = DensityMatrix.from_columns(psi.as_matrix(), n)
             report = single_copy_purity_attack(
-                rho_a, server.budget.total, int(rng.integers(2 ** 31))
+                rho_a, server.budget, int(rng.integers(2 ** 31))
             ).value
         else:
             report = DISHONEST_REPORT
@@ -130,17 +126,7 @@ class BlindEstimationResult:
     transcript: list[TranscriptEntry] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "client_estimate": self.client_estimate,
-            "truth": self.truth,
-            "all_rounds_mean": self.all_rounds_mean,
-            "all_rounds_truth": self.all_rounds_truth,
-            "keep_fraction": self.keep_fraction,
-            "rounds": self.rounds,
-            "kept_rounds": self.kept_rounds,
-            "kept_std": self.kept_std,
-            "server_view_deviation": self.server_view_deviation,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "transcript"}
 
 
 def _blind_joint_state(prep_unitary: np.ndarray) -> tuple[PureState, np.ndarray, np.ndarray]:
@@ -236,8 +222,6 @@ def run_blind_estimation(
 
 def write_transcript(path, entries: Sequence[TranscriptEntry]) -> None:
     """Serialize a protocol transcript as JSON lines, one entry per round."""
-    import json
-
     with open(path, "w") as handle:
         for entry in entries:
             handle.write(json.dumps(entry.to_json(), sort_keys=True) + "\n")

@@ -25,6 +25,7 @@ from .core import (
 from .errors import DimensionError, DomainError, GuardError, InsufficientDataError, ValidationError
 
 TOMOGRAPHY_GUARD = 64  # largest dimension tomography reconstructs
+_BOOTSTRAP_RESAMPLES = 200  # multinomial resamples per bootstrap_stderr call
 # Randomized measurements draw Ginibre frames _FRAME_CHUNK entries (32 MiB) at
 # a time, enough for one draw at rank <= 3, n <= 8 and 2e4 shots, and run QR
 # on _QR_BLOCK entries at a time.
@@ -245,20 +246,19 @@ def bootstrap_stderr(
     result: TomographyResult,
     functional: Callable[[SpectralDecomposition], np.ndarray],
     rng: np.random.Generator,
-    resamples: int = 200,
 ) -> float:
     """Nonparametric bootstrap of a tomography-derived scalar.
 
-    Resamples each setting's outcome counts multinomially, reconstructs
-    and PSD-projects all resamples at once, and calls ``functional`` once
-    on their spectra: a SpectralDecomposition whose arrays carry a leading
-    resample axis (eigenvalues descending).  It returns one value per
-    resample.
+    Resamples each setting's outcome counts multinomially
+    ``_BOOTSTRAP_RESAMPLES`` times, reconstructs and PSD-projects all
+    resamples at once, and calls ``functional`` once on their spectra: a
+    SpectralDecomposition whose arrays carry a leading resample axis
+    (eigenvalues descending).  It returns one value per resample.
     """
     counts = result.setting_counts
     totals = counts.sum(axis=1)
     probs = counts / np.maximum(totals, 1)[:, None]
-    draws = rng.multinomial(totals, probs, size=(resamples, totals.size))
+    draws = rng.multinomial(totals, probs, size=(_BOOTSTRAP_RESAMPLES, totals.size))
     w, v = np.linalg.eigh(_shadow_inverse(draws))
     spectra = SpectralDecomposition(_psd_weights(w[..., ::-1]), v[..., ::-1])
     return float(np.std(functional(spectra), ddof=1))

@@ -1,5 +1,7 @@
+import argparse
 import functools
 import json
+import math
 import operator
 import os
 
@@ -59,6 +61,31 @@ class TestCliRuns:
         row = payload["results"][0]
         assert abs(row["keep_fraction"] - 0.5) <= 0.02
 
+    @pytest.mark.parametrize(
+        "args, rows",
+        [
+            (("qfi", "--n", "3", "--trials", "2"), 2),
+            (("channel-unitarity", "--n", "1", "--budget", "10000", "--trials", "2"), 2),
+            (("channel-distill", "--n", "1", "--budget", "100000", "--trials", "2"), 2),
+            (("channel-pca", "--n", "1", "--budget", "200000", "--trials", "2"), 2),
+            (("crypto-verify", "--n", "3", "--trials", "4", "--budget", "2000"), 3),
+        ],
+        ids=lambda v: v[0] if isinstance(v, tuple) else None,
+    )
+    def test_runs_with_finite_rows(self, tmp_path, args, rows):
+        rc, payload, _ = run_cli(tmp_path, *args)
+        assert rc in (0, 3)
+        assert len(payload["results"]) == rows  # crypto-verify: one row per server kind
+
+        def leaves(value):
+            if isinstance(value, (dict, list)):
+                items = value.values() if isinstance(value, dict) else value
+                return [x for v in items for x in leaves(v)]
+            return [] if isinstance(value, str) else [value]
+
+        values = leaves(payload["results"])
+        assert values and all(isinstance(v, (int, float)) and math.isfinite(v) for v in values)
+
     def test_separation_csv(self, tmp_path):
         rc, payload, out = run_cli(
             tmp_path, "separation", "--task", "purity", "--n", "3..4",
@@ -78,7 +105,9 @@ class TestCliContract:
             main(["definitely-not-real"])
         assert err.value.code == 64
 
-    @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--jobs", "0"), ("--jobs", "-1")])
+    @pytest.mark.parametrize(
+        "flag, value", [("--trials", "0"), ("--jobs", "0"), ("--jobs", "-1"), ("--seed", "-1")]
+    )
     def test_nonpositive_trials_exits_64(self, capsys, flag, value):
         with pytest.raises(SystemExit) as err:
             main(["moment", "--n", "2", "--trials", "1", "--jobs", "1", flag, value])
@@ -98,6 +127,16 @@ class TestCliContract:
 
     def test_missing_subcommand_exits_64(self):
         assert main([]) == 64
+
+    def test_subcommands_are_the_experiment_table(self):
+        subparsers = next(
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        assert list(subparsers.choices) == list(cli.EXPERIMENTS) == [
+            "identities", "moment", "cooling", "pca", "qfi", "channel-unitarity",
+            "channel-distill", "channel-pca", "separation", "crypto-verify", "crypto-blind",
+            "swap-test",
+        ]
 
     def test_precondition_failure_exits_2(self, tmp_path):
         rc, payload, _ = run_cli(
@@ -119,8 +158,8 @@ class TestCliContract:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_numerical_failure_exits_2(self, tmp_path, monkeypatch, capsys, fn, payload, error, jobs):
         # jobs=2 raises in a pool worker, and the pool re-raises it in main.
-        monkeypatch.setattr(
-            cli, "_run_estimator", lambda args, kind: cli._parallel_map(fn, [payload] * 2, args.jobs)
+        monkeypatch.setitem(
+            cli.EXPERIMENTS, "pca", lambda args: cli._parallel_map(fn, [payload] * 2, args.jobs)
         )
         out = tmp_path / "result.json"
         rc = main(["pca", "--n", "3", "--trials", "2", "--jobs", str(jobs), "--out", str(out)])
@@ -146,6 +185,14 @@ class TestCliContract:
         rc, payload, _ = run_cli(tmp_path, "identities", "--trials", "2")
         assert rc == 0
         assert payload["seed"] == 777
+
+    @pytest.mark.parametrize("value", ["abc", "-5"])
+    def test_bad_env_seed_exits_64(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("PURISCOPE_SEED", value)
+        with pytest.raises(SystemExit) as err:
+            run_cli(tmp_path, "identities", "--trials", "1")
+        assert err.value.code == 64
+        assert "PURISCOPE_SEED" in capsys.readouterr().err
 
     def test_parallel_matches_serial(self, tmp_path):
         out_a = tmp_path / "a.json"

@@ -5,7 +5,6 @@ from puriscope import (
     Observable,
     ServerKind,
     ServerModel,
-    ShotBudget,
     child_rng,
     haar_unitary,
     make_test_observables,
@@ -27,7 +26,7 @@ class TestVerification:
         assert out["acceptance"] <= 0.6
 
     def test_limited_server_below_honest_at_large_n(self):
-        budget = ShotBudget(observable_shots=800)
+        budget = 800
         honest = run_verification(
             8, ServerModel(ServerKind.HONEST_UNBOUNDED, budget), 60, seed=3
         )

@@ -386,7 +386,7 @@ class TestBootstrap:
         def purity(spectra):
             return np.sum(spectra.eigenvalues ** 2, axis=-1)
 
-        boot = bootstrap_stderr(result, purity, child_rng(33), resamples=200)
+        boot = bootstrap_stderr(result, purity, child_rng(33))
         replicate = np.array(
             [
                 tomography(rho, 3000, child_rng(34, k)).estimate.purity()
