@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DensityMatrix, HADAMARD, Observable, PAULI_X, PAULI_Z, pauli_on
+from .core import DensityMatrix, HADAMARD, Observable, PAULI_I, PAULI_X, PAULI_Z
 from .ensembles import (
     EnsembleFamily,
     EnsembleSpec,
@@ -87,12 +87,11 @@ def swap_test_moment(
     reduced = DensityMatrix(columns @ columns.conj().T, 1 + psi.nA)
 
     if observable is None:
-        obs_values, obs_basis = np.ones(dA), np.eye(dA)
+        obs_values, obs_basis = np.ones(dA), (np.eye(dA),)
     else:
-        spec_o = observable.spectral()
-        obs_values, obs_basis = spec_o.eigenvalues, spec_o.eigenvectors
+        obs_values, obs_basis = observable.eigenvalues, observable.basis
     # Control in the X eigenbasis: |+> outcome +1, |-> outcome -1.
-    counts = measure_in_basis(reduced, (HADAMARD, obs_basis), shots, child_rng(seed, 0))
+    counts = measure_in_basis(reduced, (HADAMARD, *obs_basis), shots, child_rng(seed, 0))
     counts = counts.reshape(2, dA)
 
     x_signs = np.array([1.0, -1.0])
@@ -115,7 +114,7 @@ def swap_test_moment(
         power = spec_a.apply(lambda w: np.clip(w, 0.0, None) ** t)
         truth = float(np.vdot(power, observable.matrix).real)  # Tr(O rho^t), power Hermitian
         value = samples_mean
-        exact = float(np.real(np.vdot(branch0, observable.matrix @ branch1)))
+        exact = float(np.real(np.vdot(branch0, observable @ branch1)))
 
     return EstimatorReport(
         value=value,
@@ -202,7 +201,7 @@ def _estimate_statistic(
             return estimate_moment(psi, 2, ShotBudget(tomography_shots=budget), seed).value
         return single_copy_purity_attack(rho, budget, seed).value
     if kind == "cooling":
-        z1 = Observable(pauli_on(n, 0, PAULI_Z))
+        z1 = Observable.from_factors([PAULI_Z] + [PAULI_I] * (n - 1))
         if strategy == "purification":
             psi = purify(rho, 2)
             return estimate_virtual_cooling(psi, z1, 2, ShotBudget.split(budget), seed).value
@@ -210,7 +209,7 @@ def _estimate_statistic(
             raise GuardError("plug-in tomography arm is guarded to n <= 6")
         est = tomography(rho, budget, child_rng(seed, 0)).estimate
         return float(np.real(np.trace(est.matrix @ est.matrix @ z1.matrix)))
-    x1 = Observable(pauli_on(n, 0, PAULI_X))
+    x1 = Observable.from_factors([PAULI_X] + [PAULI_I] * (n - 1))
     if strategy == "purification":
         psi = purify(rho, 2)
         return estimate_qfi(

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .core import DensityMatrix, Observable, PAULI_X, PAULI_Z, pauli_on
+from .core import DensityMatrix, Observable, PAULI_I, PAULI_X, PAULI_Z
 from .ensembles import (
     EnsembleFamily,
     EnsembleSpec,
@@ -82,7 +82,7 @@ def _sample_state(n: int, rank: int, seed: int, trial: int):
 
 def _on_qubit0(n: int, pauli: np.ndarray = PAULI_Z) -> Observable:
     """The observable the CLI estimators read: one Pauli on qubit 0 of n."""
-    return Observable(pauli_on(n, 0, pauli))
+    return Observable.from_factors([pauli] + [PAULI_I] * (n - 1))
 
 
 def _trial_seed(seed: int, trial: int) -> int:

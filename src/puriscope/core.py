@@ -13,10 +13,13 @@ Conventions used throughout the package:
   d x k columns with a thin QR and a k x k eigh, and forms ``matrix``
   only on first access; ``PureState.spectral()`` is the rank-1 spectrum.
   Partial traces and measurements take one path over spectral columns.
-* From 7 qubits on, :func:`eigh` diagonalises a Kronecker product of
-  per-qubit 2x2 factors (an embedded Pauli, ``eye(d) / d``) factor by
-  factor, in O(n d^2): one batched eigh of the 2x2 stack.  Every other
-  matrix takes a dense eigh.
+* An :class:`Observable` is carried as its eigenbasis: a tuple of basis
+  factors with the eigenvalues in product order.  ``Observable.from_factors``
+  takes per-qubit 2x2 factors and never forms the d x d matrix; a dense
+  product of 2x2 factors from 7 qubits on (an embedded Pauli) is
+  recognised and split the same way.  Consumers rotate into the basis and
+  apply ``O @ v`` one qubit at a time.  Every other matrix takes one dense
+  :func:`eigh`.
 * Ranks count the eigenvalues above the fixed ``DEFAULT_RANK_TOL``
   (1e-9) relative to the largest magnitude.
 * ``trace_norm`` is the un-halved trace norm ``sum |eigenvalues|``; all
@@ -28,7 +31,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -36,11 +39,11 @@ import numpy as np
 from .errors import DimensionError, DomainError, ValidationError
 
 HERMITICITY_ATOL = 1e-10
-# eigh treats a matrix within this relative Frobenius distance of a product
-# of 2x2 factors as that product (Weyl: eigenvalues move <= this * ||M||_F),
-# from this many qubits on.  Below that the dense eigh is no slower, and small
-# product states (purify's diagonal rho_B) keep the roundoff that fixed-seed
-# Born sampling depends on.
+# Observable treats a dense matrix within this relative Frobenius distance of
+# a product of 2x2 factors as that product (Weyl: eigenvalues move <= this *
+# ||M||_F), from this many qubits on.  Below that the dense eigh is no slower,
+# and small observables keep the dense eigenbasis that fixed-seed stage-2
+# draws depend on.
 _FACTOR_RTOL = 1e-12
 _FACTOR_MIN_QUBITS = 7
 TRACE_ATOL = 1e-10
@@ -191,8 +194,13 @@ class DensityMatrix:
             raise ValidationError(f"trace {tr} deviates from 1 beyond {TRACE_ATOL}")
         q, r = np.linalg.qr(c)
         w, u = np.linalg.eigh(r @ r.conj().T)
+        return cls.from_spectrum(_canonical(w, q @ u), n)
+
+    @classmethod
+    def from_spectrum(cls, spectrum: "SpectralDecomposition", n: int) -> "DensityMatrix":
+        """The state with this spectrum, taken as PSD with trace 1; ``matrix`` is formed on first access."""
         state = cls.__new__(cls)
-        state._matrix, state.n, state._spectrum = None, n, _canonical(w, q @ u)
+        state._matrix, state.n, state._spectrum = None, n, spectrum
         return state
 
     @property
@@ -298,11 +306,6 @@ def eigh(matrix: np.ndarray) -> SpectralDecomposition:
     block, columns are ordered lexicographically by their interleaved
     (real, imag) coefficients rounded to 10 decimals, so the result is
     deterministic given the input bytes.
-
-    A Kronecker product of n >= 7 Hermitian 2x2 factors (to 1e-12 relative
-    Frobenius distance, see :func:`_qubit_factors`) is diagonalised factor
-    by factor: eigenvalues multiplied out, eigenvectors Kronecker-multiplied.
-    Every other matrix takes one dense eigh; both end in the same canonical form.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -310,72 +313,135 @@ def eigh(matrix: np.ndarray) -> SpectralDecomposition:
     h = _hermitian_part(m, HERMITICITY_ATOL)
     if h is None:
         raise ValidationError("matrix is not Hermitian within 1e-10")
-    factors = _qubit_factors(h)
-    if factors is None:
-        w, v = np.linalg.eigh(h)
-        return _canonical(w, v.astype(complex))
-    w, v = np.linalg.eigh(factors)
-    return _canonical(functools.reduce(np.multiply.outer, w).reshape(-1), kron_all(*v))
+    w, v = np.linalg.eigh(h)
+    return _canonical(w, v.astype(complex))
 
 
-def _qubit_factors(h: np.ndarray) -> np.ndarray | None:
-    """Hermitian 2x2 factors whose Kronecker product is h, or None.
-
-    The factors are the fibres through h's largest-magnitude entry, one per
-    qubit, accepted only when their product is within _FACTOR_RTOL of h
-    (the rank-1 rearrangement test of Van Loan and Pitsianis, 1993).  Sizes
-    other than 2^n with n >= _FACTOR_MIN_QUBITS, and the zero matrix,
-    return None.
-    """
-    d = h.shape[0]
-    n = d.bit_length() - 1
-    if n < _FACTOR_MIN_QUBITS or d != 1 << n:
-        return None
-    r, c = divmod(int(np.abs(h).argmax()), d)
-    pivot = h[r, c]
-    if pivot == 0:
-        return None
-    bits = 1 << np.arange(n - 1, -1, -1)
-    rows = (r & ~bits)[:, None] | bits[:, None] * [0, 1]
-    cols = (c & ~bits)[:, None] | bits[:, None] * [0, 1]
-    f = h[rows[:, :, None], cols[:, None, :]] / pivot
-    # Each f_k is a_k H_k with H_k Hermitian, so sum_ij f_ij f_ji has the
-    # phase of a_k^2; dividing out its square root leaves +-H_k.
-    s = np.sum(f * f.swapaxes(1, 2), axis=(1, 2))
-    if not s.all():
-        return None
-    phases = np.sqrt(s / np.abs(s))
-    f *= phases.conj()[:, None, None]
-    f[0] *= (pivot * np.prod(phases)).real
-    f = (f + f.conj().swapaxes(1, 2)) / 2
-    if np.linalg.norm(kron_all(*f) - h) > _FACTOR_RTOL * np.linalg.norm(h):
-        return None
-    return f
-
-
-@dataclass(frozen=True)
 class Observable:
-    """Hermitian matrix, diagonalised once at construction for its measurement basis."""
+    """Hermitian operator carried as its measurement basis.
 
-    matrix: np.ndarray
-    spectral_norm: float = field(init=False)
-    _spectrum: SpectralDecomposition = field(init=False, repr=False, compare=False)
+    ``basis`` is a tuple of unitaries whose Kronecker product (factor 0
+    most significant) diagonalises the operator; ``eigenvalues`` are its
+    eigenvalues in that product's order.  A dense matrix that is a product
+    of 2x2 factors on at least ``_FACTOR_MIN_QUBITS`` qubits (an embedded
+    Pauli) gets one 2x2 factor per qubit; any other matrix gets one dense
+    factor from :func:`eigh`.  :meth:`from_factors` builds the per-qubit
+    form directly: then ``matrix`` is formed only when read, and ``O @ v``
+    acts one qubit at a time.
+    """
+
+    def __init__(self, matrix: np.ndarray):
+        self._matrix = matrix
+        self.__post_init__()
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.asarray(self._matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"observable must be square, got shape {m.shape}")
-        spectrum = eigh(m)
-        object.__setattr__(self, "matrix", _freeze(m))
-        object.__setattr__(self, "spectral_norm", float(np.abs(spectrum.eigenvalues).max()))
-        object.__setattr__(self, "_spectrum", spectrum)
+        self._matrix, self._factors = _freeze(m), None
+        qubits = self._qubit_factors(self._matrix)
+        if qubits is None:
+            spectrum = eigh(m)
+            self._set_basis((spectrum.eigenvectors,), spectrum.eigenvalues)
+        else:
+            self._set_qubit_basis(qubits)
+
+    @classmethod
+    def from_factors(cls, factors) -> "Observable":
+        """The Kronecker product of Hermitian 2x2 factors, qubit 0 first, never formed densely."""
+        f = np.asarray(factors, dtype=complex)
+        if f.ndim != 3 or f.shape[1:] != (2, 2):
+            raise ValidationError(f"factors must be a nonempty sequence of 2x2 matrices, got shape {f.shape}")
+        h = [_hermitian_part(x, HERMITICITY_ATOL) for x in f]
+        if any(x is None for x in h):
+            raise ValidationError("matrix is not Hermitian within 1e-10")
+        obs = cls.__new__(cls)
+        obs._matrix, obs._factors = None, _freeze(np.array(h))
+        obs._set_qubit_basis(obs._factors)
+        return obs
+
+    def _set_qubit_basis(self, factors: np.ndarray):
+        w, v = np.linalg.eigh(factors)
+        self._set_basis(tuple(v), functools.reduce(np.multiply.outer, w).reshape(-1))
+
+    def _set_basis(self, basis: tuple, eigenvalues: np.ndarray):
+        self.basis = tuple(_freeze(b) for b in basis)
+        self.eigenvalues = _freeze(eigenvalues)
+        self.spectral_norm = float(np.abs(eigenvalues).max())
+
+    @staticmethod
+    def _qubit_factors(m: np.ndarray) -> np.ndarray | None:
+        """Hermitian 2x2 factors whose Kronecker product is m, or None.
+
+        The factors are the fibres through the entry with the largest real
+        or imaginary part, one per qubit (the rank-1 rearrangement test of
+        Van Loan and Pitsianis, 1993).  Their product K is accepted when
+        ||m - K||_F is within _FACTOR_RTOL of ||m||_F (by Weyl, the
+        eigenvalues move no more) and max |m - K| is within half of eigh's
+        Hermiticity tolerance: K is Hermitian, so m then passes eigh's check
+        too.  Sizes other than 2^n with n >= _FACTOR_MIN_QUBITS, and the
+        zero matrix, return None.
+        """
+        d = m.shape[0]
+        n = d.bit_length() - 1
+        if n < _FACTOR_MIN_QUBITS or d != 1 << n:
+            return None
+        parts = m.reshape(-1).view(float)
+        hi, lo = int(parts.argmax()), int(parts.argmin())
+        r, c = divmod((hi if parts[hi] >= -parts[lo] else lo) // 2, d)
+        pivot = m[r, c]
+        if pivot == 0:
+            return None
+        bits = 1 << np.arange(n - 1, -1, -1)
+        rows = (r & ~bits)[:, None] | bits[:, None] * [0, 1]
+        cols = (c & ~bits)[:, None] | bits[:, None] * [0, 1]
+        f = m[rows[:, :, None], cols[:, None, :]] / pivot
+        # Each f_k is a_k H_k with H_k Hermitian, so sum_ij f_ij f_ji has the
+        # phase of a_k^2; dividing out its square root leaves +-H_k.
+        s = np.sum(f * f.swapaxes(1, 2), axis=(1, 2))
+        if not s.all():
+            return None
+        phases = np.sqrt(s / np.abs(s))
+        f *= phases.conj()[:, None, None]
+        f[0] *= (pivot * np.prod(phases)).real
+        f = (f + f.conj().swapaxes(1, 2)) / 2
+        # Compare a quarter of m at a time (the rows of each setting of the
+        # first two qubits): no temporary is as large as m.
+        head, tail = kron_all(*f[:2]), kron_all(*f[2:])
+        magnitude = np.empty((d // 4, 4, d // 4))
+        scale = norm2 = worst = error2 = 0.0
+        for row, block in zip(head, m.reshape(4, d // 4, 4, d // 4)):
+            np.abs(block, out=magnitude)
+            scale, norm2 = max(scale, magnitude.max()), norm2 + np.vdot(magnitude, magnitude)
+            residual = tail[:, None, :] * row[None, :, None]
+            residual -= block
+            np.abs(residual, out=magnitude)
+            worst, error2 = max(worst, magnitude.max()), error2 + np.vdot(magnitude, magnitude)
+        if np.sqrt(error2) > _FACTOR_RTOL * np.sqrt(norm2) or worst > HERMITICITY_ATOL * max(1.0, scale) / 2:
+            return None
+        return f
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = _freeze(kron_all(*self._factors))
+        return self._matrix
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.eigenvalues.size
 
-    def spectral(self) -> SpectralDecomposition:
-        return self._spectrum
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """O v for a (d,) or (d, k) array; one qubit at a time when built from factors."""
+        if self._factors is None:
+            return self._matrix @ v
+        v = np.asarray(v)
+        cols = v.reshape(self.dim, -1)
+        t = cols.T.reshape((cols.shape[1],) + (2,) * len(self._factors))
+        for f in self._factors:
+            # contract the leading qubit axis; its image is appended last
+            t = np.tensordot(t, f, axes=([1], [1]))
+        return t.reshape(cols.shape[1], -1).T.reshape(v.shape)
 
 
 StateLike = Union[PureState, DensityMatrix]

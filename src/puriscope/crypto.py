@@ -178,21 +178,20 @@ def run_blind_estimation(
     mixture = 0.5 * (np.outer(psi, psi.conj()) + np.outer(psi_perp, psi_perp.conj()))
     view_deviation = trace_norm(server_view.matrix - mixture)
 
-    spec_o = observable.spectral()
     # outcome index = 2 * (observable eigen-index) + B bit
-    probs = born_probabilities(psi_joint, (spec_o.eigenvectors, np.eye(2)))
+    probs = born_probabilities(psi_joint, (*observable.basis, np.eye(2)))
 
     rng = child_rng(seed, 0)
     draws = rng.choice(2 * d, size=rounds, p=probs)
     obs_idx, b_bits = draws // 2, draws % 2
-    reported = spec_o.eigenvalues[obs_idx] + report_bias
+    reported = observable.eigenvalues[obs_idx] + report_bias
     kept_mask = b_bits == 0
 
     kept = reported[kept_mask]
     all_mean = float(reported.mean())
     kept_mean = float(kept.mean()) if kept.size else float("nan")
     kept_std = float(kept.std(ddof=1)) if kept.size > 1 else 0.0
-    truth = float(np.real(psi.conj() @ (observable.matrix @ psi)))
+    truth = float(np.real(psi.conj() @ (observable @ psi)))
     all_truth = float(np.real(np.trace(observable.matrix @ mixture)))
 
     transcript = []

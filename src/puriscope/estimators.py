@@ -95,16 +95,15 @@ def _steer(state: JointState, nA: int, nB: int, b_operator: np.ndarray) -> np.nd
     return steered.reshape(dA, -1) @ c.reshape(dA, -1).conj().T
 
 
-def _expectation_weights(joint: JointState, a_operator: np.ndarray) -> np.ndarray:
+def _expectation_weights(joint: JointState, a_operator: Union[Observable, np.ndarray]) -> np.ndarray:
     """X = sum_j w_j C_j^dag A C_j, so Tr[joint (A (x) g)] = sum(X * g) for every g."""
-    a = np.asarray(a_operator, dtype=complex)
-    dA = a.shape[0]
+    dA = a_operator.dim if isinstance(a_operator, Observable) else len(a_operator)
     c, w = _blocks(joint, dA)
-    moved = (a @ c.reshape(dA, -1)).reshape(-1, c.shape[2])
+    moved = (a_operator @ c.reshape(dA, -1)).reshape(-1, c.shape[2])
     return (c * w[:, None]).conj().reshape(-1, c.shape[2]).T @ moved
 
 
-def bipartite_expectation(psi: JointState, a_operator: np.ndarray, b_operator: np.ndarray) -> float:
+def bipartite_expectation(psi: JointState, a_operator: Union[Observable, np.ndarray], b_operator: np.ndarray) -> float:
     """Tr[ psi (A (x) B) ] for a pure or mixed joint state, without the Kronecker product."""
     x = _expectation_weights(psi, a_operator)
     return float(np.real(np.sum(x * np.asarray(b_operator, dtype=complex))))
@@ -210,8 +209,8 @@ def _two_stage(
     Stage 1 tomographs the small register ``rho_b``.  ``terms`` maps its
     spectrum to (coefficient, g) pairs, and stage 2 measures O (x) g on
     ``joint`` for each, with an even share of the observable shots, in the
-    product eigenbasis U_O (x) U_g (O's spectrum is cached on the
-    observable, so the d_A x d_A eigh runs once).  The estimate is
+    product eigenbasis U_O (x) U_g (O's basis factors are kept on the
+    observable, so a per-qubit O rotates one qubit at a time).  The estimate is
     spectral(w) + sum_i coefficient_i * mean_i ** power.  Its stderr is
     the hypot of the propagated shot error and a bootstrap of stage 1,
     which re-evaluates the estimate on resampled spectra with exact
@@ -241,7 +240,7 @@ def _two_stage(
             means.append(mean)
             shot_var += (power * coefficient * mean ** (power - 1) * se) ** 2
         shots_used["observable"] = shots_each * len(measured)
-        weights = _expectation_weights(joint, observable.matrix)
+        weights = _expectation_weights(joint, observable)
 
     def estimate(w: np.ndarray, coefficients: list, values: list) -> np.ndarray:
         return spectral(w) + sum(c * v ** power for c, v in zip(coefficients, values))
@@ -306,7 +305,7 @@ def estimate_virtual_cooling(
     )[0]
     a_side = schmidt_decompose(psi).a_side
     v = a_side.eigenvectors
-    diagonal = np.real(np.sum(v.conj() * (observable.matrix @ v), axis=0))  # <v_j|O|v_j>
+    diagonal = np.real(np.sum(v.conj() * (observable @ v), axis=0))  # <v_j|O|v_j>
     report.truth = float(np.sum(a_side.eigenvalues ** t * diagonal))  # Tr(O rho_A^t)
     return report
 
@@ -335,7 +334,7 @@ def estimate_pca(
         rho_b, budget, seed, joint=psi, observable=observable, terms=lambda spec: [_principal(spec)]
     )[0]
     psi_a0 = schmidt_decompose(psi).a_side.eigenvectors[:, 0]
-    report.truth = float(np.real(psi_a0.conj() @ (observable.matrix @ psi_a0)))
+    report.truth = float(np.real(psi_a0.conj() @ (observable @ psi_a0)))
     return report
 
 
@@ -360,8 +359,8 @@ def eigenstate_factor_exact(
     single-copy expectations M+ and M-, combined as (M+^2 + M-^2) / 2.
     """
     plus, minus = flip_observables(vec_j, vec_k)
-    m_plus = bipartite_expectation(psi, observable.matrix, plus)
-    m_minus = bipartite_expectation(psi, observable.matrix, minus)
+    m_plus = bipartite_expectation(psi, observable, plus)
+    m_minus = bipartite_expectation(psi, observable, minus)
     return 0.5 * (m_plus ** 2 + m_minus ** 2)
 
 
@@ -401,7 +400,7 @@ def qfi_oracle(
     lam = np.clip(spec.eigenvalues, 0.0, None)
     keep = lam > DEFAULT_RANK_TOL * max(lam.max(), 1e-300)
     lam, v = lam[keep], spec.eigenvectors[:, keep]
-    o_v = observable.matrix @ v
+    o_v = observable @ v
     overlap = np.abs(v.conj().T @ o_v) ** 2  # |O_jk|^2 on S x S
     ratio = (lam[:, None] - lam[None, :]) ** 2 / (lam[:, None] + lam[None, :])
     total = 2.0 * np.sum(ratio * overlap)

@@ -26,10 +26,10 @@ from .errors import DimensionError, DomainError, GuardError, InsufficientDataErr
 
 TOMOGRAPHY_GUARD = 64  # largest dimension tomography reconstructs
 _BOOTSTRAP_RESAMPLES = 200  # multinomial resamples per bootstrap_stderr call
-# Randomized measurements draw Ginibre frames _FRAME_CHUNK entries (32 MiB) at
-# a time, enough for one draw at rank <= 3, n <= 8 and 2e4 shots, and run QR
-# on _QR_BLOCK entries at a time.
-_FRAME_CHUNK = 2 ** 21
+# Randomized measurements draw Ginibre frames, and then their outcomes,
+# _FRAME_CHUNK entries (4 MiB) at a time, enough for one draw at rank 2, n <= 8
+# and 4e3 shots, and run QR on _QR_BLOCK entries at a time.
+_FRAME_CHUNK = 2 ** 18
 _QR_BLOCK = 2 ** 16
 
 # Eigenbases of X, Y and Z (columns), stacked: one qubit's tomography settings.
@@ -56,12 +56,11 @@ class ShotBudget:
         return self.tomography_shots + self.observable_shots
 
     @staticmethod
-    def split(total: int, tomography_fraction: float = 0.5) -> "ShotBudget":
-        """Two-stage budget with the default 50/50 tomography/observable split."""
+    def split(total: int) -> "ShotBudget":
+        """Two-stage budget split 50/50 between tomography and the observable (half to even)."""
         if total < 2:
             raise DomainError("total budget must be at least 2")
-        tomo = int(round(total * tomography_fraction))
-        tomo = min(max(tomo, 1), total - 1)
+        tomo = round(total / 2)
         return ShotBudget(tomography_shots=tomo, observable_shots=total - tomo)
 
 
@@ -140,18 +139,20 @@ def measure_observable_with_stderr(
     """Mean and standard error of the shot-sampled observable estimate.
 
     A tuple of factor observables measures their tensor product (leftmost
-    factor most significant) in the product of their eigenbases; each
-    outcome's value is the product of the factors' eigenvalues.
+    factor most significant) in the product of their eigenbases, expanded
+    into every factor's basis factors, so a per-qubit observable rotates
+    one qubit at a time; each outcome's value is the product of the
+    factors' eigenvalues.
     """
     factors = observable if isinstance(observable, tuple) else (observable,)
-    specs = [(f if isinstance(f, Observable) else Observable(f)).spectral() for f in factors]
-    dim = math.prod(spec.eigenvalues.size for spec in specs)
+    factors = [f if isinstance(f, Observable) else Observable(f) for f in factors]
+    dim = math.prod(f.dim for f in factors)
     if dim != state.dim:
         raise DimensionError(f"observable dimension {dim} != state dimension {state.dim}")
     if shots < 1:
         raise DomainError("shots must be >= 1")
-    values = functools.reduce(np.multiply.outer, [spec.eigenvalues for spec in specs]).ravel()
-    counts = measure_in_basis(state, tuple(spec.eigenvectors for spec in specs), shots, rng)
+    values = functools.reduce(np.multiply.outer, [f.eigenvalues for f in factors]).ravel()
+    counts = measure_in_basis(state, tuple(b for f in factors for b in f.basis), shots, rng)
     mean = float(counts @ values / shots)
     second = float(counts @ (values ** 2) / shots)
     var = max(second - mean ** 2, 0.0)
@@ -218,8 +219,9 @@ def tomography(state: StateLike, shots: int, rng: np.random.Generator) -> Tomogr
 
     One :func:`measure_in_basis` call on the stack of X, Y and Z eigenbases
     per qubit draws all 3**m product-Pauli settings, the shots split evenly
-    over them; the raw linear-inversion matrix is kept alongside the
-    projected estimate so callers can bootstrap derived functionals.  A
+    over them.  The estimate is the raw linear-inversion matrix's one eigh
+    with its eigenvalues clipped at 0 and renormalised; the raw matrix is
+    kept alongside so callers can bootstrap derived functionals.  A
     0-qubit state draws no shots.
     """
     m = state.n
@@ -232,9 +234,11 @@ def tomography(state: StateLike, shots: int, rng: np.random.Generator) -> Tomogr
     if m:
         counts = measure_in_basis(state, (_PAULI_BASES,) * m, shots, rng).reshape(3 ** m, d)
     raw = _shadow_inverse(counts)
-    projected = eigh(raw).apply(_psd_weights)
+    spectrum = eigh(raw)
     return TomographyResult(
-        estimate=DensityMatrix(projected, m),
+        estimate=DensityMatrix.from_spectrum(
+            SpectralDecomposition(_psd_weights(spectrum.eigenvalues), spectrum.eigenvectors), m
+        ),
         raw_shots=int(counts.sum()),
         basis_settings=len(counts),
         linear_inversion=raw,
@@ -276,8 +280,9 @@ def _rm_purity_estimates(
     as rotating the state's support frame, so a d x r Ginibre QR per
     setting replaces the full d x d unitary; the QR columns are the first
     r columns of a Haar unitary at any rank r <= d.  The frames are drawn
-    ``_FRAME_CHUNK`` entries at a time and factored ``_QR_BLOCK`` entries
-    at a time, so memory stays bounded at any rank and budget.
+    ``_FRAME_CHUNK`` entries at a time, each draw followed by its
+    outcomes, and factored ``_QR_BLOCK`` entries at a time, so memory
+    stays bounded at any rank and budget.
     """
     if unitaries < 2:
         raise DomainError("need at least 2 random unitaries")
@@ -290,17 +295,18 @@ def _rm_purity_estimates(
     weights = weights / weights.sum()
     per_draw = max(1, _FRAME_CHUNK // (d * r))
     per_qr = max(1, _QR_BLOCK // (d * r))
-    probs = np.empty((unitaries, d))
+    collisions = np.empty(unitaries)
     frames = np.empty((min(per_draw, unitaries), d, r), dtype=complex)
     for start in range(0, unitaries, per_draw):
         z = frames[: unitaries - start]
         z.real = rng.standard_normal(z.shape)
         z.imag = rng.standard_normal(z.shape)
+        probs = np.empty((len(z), d))
         for block in range(0, len(z), per_qr):
             q, _ = np.linalg.qr(z[block:block + per_qr])
-            probs[start + block:start + block + len(q)] = np.abs(q) ** 2 @ weights
-    counts = rng.multinomial(m, probs / probs.sum(axis=1, keepdims=True))
-    collisions = ((counts * counts).sum(axis=1) - m) / (m * (m - 1))
+            probs[block:block + len(q)] = np.abs(q) ** 2 @ weights
+        counts = rng.multinomial(m, probs / probs.sum(axis=1, keepdims=True))
+        collisions[start:start + len(z)] = ((counts * counts).sum(axis=1) - m) / (m * (m - 1))
     return (d + 1) * collisions - 1.0
 
 

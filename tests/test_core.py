@@ -23,13 +23,13 @@ from puriscope.core import (
     PSD_ATOL,
     _FACTOR_MIN_QUBITS,
     _canonical,
-    _qubit_factors,
     kron_all,
     pauli_on,
 )
 from puriscope.ensembles import child_rng, haar_state, haar_unitary, purify
 from puriscope.errors import DimensionError, DomainError, ValidationError
 from puriscope.estimators import _expectation_weights, _steer
+from puriscope.measurement import born_probabilities
 
 BELL = PureState(np.array([1, 0, 0, 1]) / np.sqrt(2), 1, 1)
 
@@ -316,17 +316,19 @@ class TestOneDiagonalisation:
             monkeypatch.setattr(np.linalg, name, counted)
         rho = random_density(3, 2, child_rng(153))
         obs = Observable(pauli_on(3, 1, PAULI_X))
-        assert calls == {"eigh": 2, "eigvalsh": 0}
+        built = Observable.from_factors([PAULI_I, PAULI_X, PAULI_I])
+        assert calls == {"eigh": 3, "eigvalsh": 0}
         for _ in range(3):
             assert rho.spectral() is rho.spectral()
             assert rho.rank() == 2
-            assert obs.spectral() is obs.spectral()
-            assert obs.spectral_norm == 1.0
-        assert calls == {"eigh": 2, "eigvalsh": 0}
+            for o in (obs, built):
+                assert o.spectral_norm == 1.0
+                np.testing.assert_array_equal(o @ np.eye(8), o.matrix)
+        assert calls == {"eigh": 3, "eigvalsh": 0}
 
 
 def _dense_eigh(matrix):
-    """The one-factor path: a dense np.linalg.eigh put in canonical form."""
+    """The dense path: np.linalg.eigh of the Hermitian part, put in canonical form."""
     m = np.asarray(matrix, dtype=complex)
     w, v = np.linalg.eigh((m + m.conj().T) / 2)
     return _canonical(w, v.astype(complex))
@@ -342,49 +344,93 @@ def _random_factor(kind, rng):
     return (z + z.conj().T) / 2
 
 
+def _embedded(n, qubit, pauli):
+    return [pauli if k == qubit else PAULI_I for k in range(n)]
+
+
+def _value_cdf(values, probs, cuts):
+    """P(value <= c) for every cut c of an outcome-value distribution."""
+    order = np.argsort(values, kind="stable")
+    cdf = np.concatenate([[0.0], np.cumsum(probs[order])])
+    return cdf[np.searchsorted(values[order], cuts, side="right")]
+
+
+def _assert_factor_paths_agree(factors, rng):
+    """Observable(dense), Observable.from_factors and the dense eigh agree within 1e-12.
+
+    Checks sorted spectra, spectral_norm, O @ v, and the distribution of the
+    value of O (x) g measured in the product eigenbasis on a random pure and
+    a random mixed joint state with one B qubit.
+    """
+    n = len(factors)
+    m = kron_all(*factors)
+    reference = eigh(m)
+    scale = max(1.0, float(np.abs(reference.eigenvalues).max()))
+    dense, built = Observable(m), Observable.from_factors(factors)
+    assert len(dense.basis) == (n if n >= _FACTOR_MIN_QUBITS else 1)
+    assert len(built.basis) == n
+    v = rng.standard_normal((2 ** n, 3)) + 1j * rng.standard_normal((2 ** n, 3))
+    apply_scale = np.abs(m).sum(axis=1).max() * np.abs(v).max()  # bounds every |(m v)_i|
+    for obs in (dense, built):
+        assert obs.dim == 2 ** n
+        assert np.abs(np.sort(obs.eigenvalues) - np.sort(reference.eigenvalues)).max() <= 1e-12 * scale
+        assert abs(obs.spectral_norm - np.abs(reference.eigenvalues).max()) <= 1e-12 * scale
+        assert np.abs(obs @ v - m @ v).max() <= 1e-12 * apply_scale
+        assert np.abs(obs @ v[:, 0] - m @ v[:, 0]).max() <= 1e-12 * apply_scale
+    assert np.abs(built.matrix - m).max() <= 1e-12 * scale
+
+    g = Observable(_random_factor("random", rng))
+    columns = rng.standard_normal((2 ** (n + 1), 3)) + 1j * rng.standard_normal((2 ** (n + 1), 3))
+    joints = [haar_state(n + 1, rng), DensityMatrix.from_columns(columns / np.linalg.norm(columns), n + 1)]
+    values = np.multiply.outer(reference.eigenvalues, g.eigenvalues).ravel()
+    distinct = np.unique(values)
+    gaps = np.diff(distinct) > 1e-9 * scale
+    cuts = (distinct[:-1][gaps] + distinct[1:][gaps]) / 2
+    for joint in joints:
+        want = _value_cdf(values, born_probabilities(joint, (reference.eigenvectors, *g.basis)), cuts)
+        for obs in (dense, built):
+            got_values = np.multiply.outer(obs.eigenvalues, g.eigenvalues).ravel()
+            probs = born_probabilities(joint, (*obs.basis, *g.basis))
+            assert np.abs(_value_cdf(got_values, probs, cuts) - want).max() <= 1e-12
+
+
 @st.composite
 def _factor_cases(draw):
-    n = draw(st.integers(_FACTOR_MIN_QUBITS, _FACTOR_MIN_QUBITS + 1))
+    n = draw(st.integers(1, 8))
     kinds = draw(st.lists(st.sampled_from(["random", "identity", "rank1"]), min_size=n, max_size=n))
     return kinds, draw(st.integers(0, 2 ** 31))
 
 
 class TestFactoredEigh:
+    """Observables carried as per-qubit eigenbases against the one dense eigh."""
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_embedded_paulis_equal_the_dense_path(self, n):
+        rng = child_rng(202, n)
         for qubit in range(n):
             for pauli in (PAULI_X, PAULI_Y, PAULI_Z):
                 m = pauli_on(n, qubit, pauli)
-                assert (_qubit_factors(m) is None) == (n < _FACTOR_MIN_QUBITS)
-                spec, reference = eigh(m), _dense_eigh(m)
-                np.testing.assert_array_equal(spec.eigenvalues, reference.eigenvalues)
-                np.testing.assert_array_equal(spec.eigenvectors, reference.eigenvectors)
+                _assert_factor_paths_agree(_embedded(n, qubit, pauli), rng)
+                if n < _FACTOR_MIN_QUBITS:
+                    # below the factor threshold the dense path is unchanged, bytes included
+                    obs, reference = Observable(m), _dense_eigh(m)
+                    assert obs.eigenvalues.tobytes() == reference.eigenvalues.tobytes()
+                    assert obs.basis[0].tobytes() == reference.eigenvectors.tobytes()
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_maximally_mixed_equals_the_dense_path(self, n):
         m = np.eye(2 ** n) / 2 ** n
-        assert (_qubit_factors(m.astype(complex)) is None) == (n < _FACTOR_MIN_QUBITS)
+        _assert_factor_paths_agree([PAULI_I / 2] * n, child_rng(203, n))
         spec, reference = DensityMatrix(m, n).spectral(), _dense_eigh(m)
         np.testing.assert_array_equal(spec.eigenvalues, reference.eigenvalues)
         np.testing.assert_array_equal(spec.eigenvectors, reference.eigenvectors)
 
-    @settings(derandomize=True, max_examples=60, deadline=None)
+    @settings(derandomize=True, max_examples=40, deadline=None)
     @given(_factor_cases())
     def test_products_of_hermitian_factors_match_dense(self, case):
         kinds, seed = case
         rng = child_rng(200, seed)
-        m = kron_all(*(_random_factor(kind, rng) for kind in kinds))
-        assert _qubit_factors(m) is not None
-        spec, reference = eigh(m), _dense_eigh(m)
-        w, w_ref = spec.eigenvalues, reference.eigenvalues
-        scale = np.abs(w_ref).max()
-        assert np.abs(w - w_ref).max() <= 1e-12 * scale
-        assert np.abs(spec.reconstruct() - m).max() <= 1e-12 * scale
-        padded = np.concatenate([[np.inf], w_ref, [-np.inf]])
-        for j in range(w.size):
-            if min(padded[j] - padded[j + 1], padded[j + 1] - padded[j + 2]) >= 1e-6 * scale:
-                a, b = spec.eigenvectors[:, j], reference.eigenvectors[:, j]
-                assert np.abs(np.outer(a, a.conj()) - np.outer(b, b.conj())).max() < 1e-10
+        _assert_factor_paths_agree([_random_factor(kind, rng) for kind in kinds], rng)
 
     def test_other_inputs_take_the_dense_path_unchanged(self):
         rng = child_rng(201)
@@ -394,18 +440,39 @@ class TestFactoredEigh:
         cases = [
             (z + z.conj().T) / 2,
             pauli_on(7, 1, PAULI_X) + 1e-9 * (dz + dz.conj().T) / 2,
+            # within the entrywise bound (5e-11) everywhere, beyond the Frobenius one
+            pauli_on(7, 1, PAULI_X) + 4e-11 * np.ones((128, 128)),
             (six + six.conj().T) / 2,
             np.zeros((128, 128), dtype=complex),
         ]
         for m in cases:
-            assert _qubit_factors(m) is None
-            spec, reference = eigh(m), _dense_eigh(m)
-            assert spec.eigenvalues.tobytes() == reference.eigenvalues.tobytes()
-            assert spec.eigenvectors.tobytes() == reference.eigenvectors.tobytes()
+            assert Observable._qubit_factors(np.asarray(m, dtype=complex)) is None
+            obs, reference = Observable(m), _dense_eigh(m)
+            assert len(obs.basis) == 1
+            assert obs.eigenvalues.tobytes() == reference.eigenvalues.tobytes()
+            assert obs.basis[0].tobytes() == reference.eigenvectors.tobytes()
+            assert eigh(m).eigenvectors.tobytes() == reference.eigenvectors.tobytes()
 
     def test_non_hermitian_product_is_rejected(self):
+        rng = child_rng(204)
+        dz = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
+        # A flat product passes the Frobenius test with one entry 1.2e-8 off
+        # (12800 * 1e-12 >= 1.2e-8), but not the entrywise one (100 * 1e-10 / 2).
+        flat = kron_all(*[np.ones((2, 2))] * 7) * 100
+        flat[5, 3] -= 1.2e-8
+        cases = [
+            kron_all(PAULI_X, np.array([[0, 1], [0, 0]], dtype=complex)),
+            pauli_on(7, 1, PAULI_X) + 1e-9 * dz,
+            flat,
+        ]
+        for m in cases:
+            assert Observable._qubit_factors(np.asarray(m, dtype=complex)) is None
+            with pytest.raises(ValidationError, match="matrix is not Hermitian within 1e-10"):
+                Observable(m)
         with pytest.raises(ValidationError, match="matrix is not Hermitian within 1e-10"):
-            eigh(kron_all(PAULI_X, np.array([[0, 1], [0, 0]], dtype=complex)))
+            Observable.from_factors([PAULI_X, np.array([[0, 1], [0, 0]], dtype=complex)])
+        with pytest.raises(ValidationError):
+            Observable.from_factors([np.eye(4)])
 
 
 class TestMomentTrace:

@@ -67,9 +67,10 @@ class TestShotBudget:
     def test_split(self):
         b = ShotBudget.split(10_000)
         assert b.tomography_shots == b.observable_shots == 5000
-        lopsided = ShotBudget.split(10_000, 0.75)
-        assert lopsided.tomography_shots == 7500
-        assert lopsided.total == 10_000
+        # odd totals round half to even, as round(total * 0.5) did
+        for total, tomo in [(2, 1), (3, 2), (5, 2), (7, 4), (20_001, 10_000)]:
+            b = ShotBudget.split(total)
+            assert (b.tomography_shots, b.total) == (tomo, total)
 
 
 class TestMeasureObservable:
@@ -364,7 +365,7 @@ class TestRandomizedMeasurementPurity:
     def test_memory_bounded_at_full_rank(self):
         # A full-rank state needs a d x d frame per random basis.  Drawing all
         # 500 frames of n = 6 at once peaked near 130 MB; chunked draws and
-        # blocked QR stay well below that, and n = 7 takes three draw chunks.
+        # blocked QR stay well below that, and n = 7 takes 19 draw chunks.
         for n, unitaries in ((6, 500), (7, 300)):
             d = 2 ** n
             rho = DensityMatrix(np.eye(d) / d, n)
