@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DensityMatrix, HADAMARD, Observable, PAULI_I, PAULI_X, PAULI_Z
+from .core import DensityMatrix, HADAMARD, Observable, PAULI_I, PAULI_X, PAULI_Z, matrix_power_trace
 from .ensembles import (
     EnsembleFamily,
     EnsembleSpec,
@@ -31,21 +31,6 @@ from .reports import EstimatorReport
 
 SWAP_REGISTER_GUARD = 13  # joint register dimension 2 * 2**(t n) <= 2**13
 SHOTS_PER_UNITARY = 8  # randomized-measurement depth, constant across n
-
-
-def _cycle_a_registers(tensor: np.ndarray, t: int) -> np.ndarray:
-    """Cyclically permute the t system registers, leaving ancillas in place.
-
-    ``tensor`` has axes (A1, B1, A2, B2, ..., At, Bt).
-    """
-    a_axes = list(range(0, 2 * t, 2))
-    b_axes = list(range(1, 2 * t, 2))
-    new_a = a_axes[1:] + a_axes[:1]
-    perm = []
-    for i in range(t):
-        perm.append(new_a[i])
-        perm.append(b_axes[i])
-    return np.transpose(tensor, perm)
 
 
 def swap_test_moment(
@@ -74,6 +59,8 @@ def swap_test_moment(
     rank = rho.rank()
     nB = 0 if rank == 1 else int(math.ceil(math.log2(rank)))
     psi = purify(rho, nB)
+    if observable is None:  # <X (x) I> is Tr(rho^t)
+        observable = Observable.from_factors([PAULI_I] * rho.n)
     dA, dB = 2 ** psi.nA, 2 ** psi.nB
 
     copies = psi.amplitudes
@@ -81,40 +68,26 @@ def swap_test_moment(
         copies = np.kron(copies, psi.amplitudes)
     tensor = copies.reshape([dA, dB] * t)
     branch0 = tensor.reshape(dA, -1)
-    branch1 = _cycle_a_registers(tensor, t).reshape(dA, -1)
+    # Cycle the system registers of the axes (A1, B1, ..., At, Bt), ancillas in place.
+    cycle = [axis for i in range(t) for axis in (2 * ((i + 1) % t), 2 * i + 1)]
+    branch1 = tensor.transpose(cycle).reshape(dA, -1)
     # Control (x) first system copy, every other register traced out.
     columns = np.concatenate([branch0, branch1]) / math.sqrt(2)
     reduced = DensityMatrix(columns @ columns.conj().T, 1 + psi.nA)
 
-    if observable is None:
-        obs_values, obs_basis = np.ones(dA), (np.eye(dA),)
-    else:
-        obs_values, obs_basis = observable.eigenvalues, observable.basis
     # Control in the X eigenbasis: |+> outcome +1, |-> outcome -1.
-    counts = measure_in_basis(reduced, (HADAMARD, *obs_basis), shots, child_rng(seed, 0))
+    counts = measure_in_basis(reduced, (HADAMARD, *observable.basis), shots, child_rng(seed, 0))
     counts = counts.reshape(2, dA)
 
     x_signs = np.array([1.0, -1.0])
-    xo_values = np.outer(x_signs, obs_values)
-    samples_mean = float(np.sum(counts * xo_values) / shots)
+    xo_values = np.outer(x_signs, observable.eigenvalues)
+    value = float(np.sum(counts * xo_values) / shots)
     second = float(np.sum(counts * xo_values ** 2) / shots)
-    stderr = float(np.sqrt(max(second - samples_mean ** 2, 0.0) / shots))
+    stderr = float(np.sqrt(max(second - value ** 2, 0.0) / shots))
     x_mean = float(np.sum(counts * x_signs[:, None]) / shots)
 
-    exact_x = float(np.real(np.vdot(branch0, branch1)))
-
-    spec_a = rho.spectral()
-    lam = np.clip(spec_a.eigenvalues, 0.0, None)
-    moment_truth = float(np.sum(lam ** t))
-    if observable is None:
-        truth = moment_truth
-        value = x_mean
-        exact = exact_x
-    else:
-        power = spec_a.apply(lambda w: np.clip(w, 0.0, None) ** t)
-        truth = float(np.vdot(power, observable.matrix).real)  # Tr(O rho^t), power Hermitian
-        value = samples_mean
-        exact = float(np.real(np.vdot(branch0, observable @ branch1)))
+    spec = rho.spectral()
+    truth = observable.expectation(spec.eigenvectors, np.clip(spec.eigenvalues, 0.0, None) ** t)
 
     return EstimatorReport(
         value=value,
@@ -123,10 +96,10 @@ def swap_test_moment(
         stderr=stderr,
         seed=seed,
         extras={
-            "exact_expectation": exact,
+            "exact_expectation": float(np.real(np.vdot(branch0, observable @ branch1))),
             "moment_estimate": x_mean,
-            "moment_truth": moment_truth,
-            "exact_moment_expectation": exact_x,
+            "moment_truth": matrix_power_trace(rho, t),
+            "exact_moment_expectation": float(np.real(np.vdot(branch0, branch1))),
             "ancilla_qubits": nB,
         },
     )
@@ -163,6 +136,8 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     """Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise DomainError("trials must be positive")
+    if not 0 <= successes <= trials:
+        raise DomainError(f"successes {successes} outside [0, {trials}]")
     p = successes / trials
     denom = 1 + z ** 2 / trials
     center = (p + z ** 2 / (2 * trials)) / denom
@@ -207,8 +182,8 @@ def _estimate_statistic(
             return estimate_virtual_cooling(psi, z1, 2, ShotBudget.split(budget), seed).value
         if n > 6:
             raise GuardError("plug-in tomography arm is guarded to n <= 6")
-        est = tomography(rho, budget, child_rng(seed, 0)).estimate
-        return float(np.real(np.trace(est.matrix @ est.matrix @ z1.matrix)))
+        spec = tomography(rho, budget, child_rng(seed, 0)).estimate.spectral()
+        return z1.expectation(spec.eigenvectors, spec.eigenvalues ** 2)  # Tr(rho_hat^2 Z)
     x1 = Observable.from_factors([PAULI_X] + [PAULI_I] * (n - 1))
     if strategy == "purification":
         psi = purify(rho, 2)

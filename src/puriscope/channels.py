@@ -23,6 +23,7 @@ from .core import (
     PAULI_Z,
     eigh,
     kron_all,
+    partial_trace,
 )
 from .errors import DomainError, GapError, GuardError, ValidationError
 from .estimators import DEFAULT_MIN_GAP, _principal, _two_stage
@@ -153,24 +154,20 @@ class StinespringIsometry:
 
     def apply(self, rho_in: DensityMatrix) -> np.ndarray:
         """Channel action Tr_B(V rho V^dag) recovered from the dilation."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for p, k in zip(self.weights, self.canonical_kraus):
-            out += p * (k @ rho_in.matrix @ k.conj().T)
-        return out
+        return partial_trace(self.output_state(rho_in), range(self.n)).matrix
 
     def distilled_truth(self, rho_in: DensityMatrix, observable: Observable) -> float:
         """Kraus-sum oracle sum_i p_i^2 Tr(O E_i rho E_i^dag)."""
-        total = 0.0
-        for p, k in zip(self.weights, self.canonical_kraus):
-            total += p ** 2 * float(
-                np.real(np.trace(observable.matrix @ k @ rho_in.matrix @ k.conj().T))
-            )
-        return total
+        spec = rho_in.spectral()
+        return sum(
+            p ** 2 * observable.expectation(k @ spec.eigenvectors, spec.eigenvalues)
+            for p, k in zip(self.weights, self.canonical_kraus)
+        )
 
     def principal_truth(self, rho_in: DensityMatrix, observable: Observable) -> float:
         """Kraus oracle Tr(O E_0 rho E_0^dag) for the leading component."""
-        k = self.canonical_kraus[0]
-        return float(np.real(np.trace(observable.matrix @ k @ rho_in.matrix @ k.conj().T)))
+        spec = rho_in.spectral()
+        return observable.expectation(self.canonical_kraus[0] @ spec.eigenvectors, spec.eigenvalues)
 
 
 def maximally_mixed(n: int) -> DensityMatrix:

@@ -19,7 +19,9 @@ Conventions used throughout the package:
   product of 2x2 factors from 7 qubits on (an embedded Pauli) is
   recognised and split the same way.  Consumers rotate into the basis and
   apply ``O @ v`` one qubit at a time.  Every other matrix takes one dense
-  :func:`eigh`.
+  :func:`eigh`.  Every exact value Tr(O f(rho)) is read through
+  ``Observable.expectation`` on spectral columns; only tests and the
+  benchmark read ``Observable.matrix``.
 * Ranks count the eigenvalues above the fixed ``DEFAULT_RANK_TOL``
   (1e-9) relative to the largest magnitude.
 * ``trace_norm`` is the un-halved trace norm ``sum |eigenvalues|``; all
@@ -442,6 +444,15 @@ class Observable:
             # contract the leading qubit axis; its image is appended last
             t = np.tensordot(t, f, axes=([1], [1]))
         return t.reshape(cols.shape[1], -1).T.reshape(v.shape)
+
+    def expectation(self, columns: np.ndarray, weights: float | np.ndarray) -> float:
+        """sum_j w_j Re <c_j|O|c_j> over d x k columns, with O applied as ``O @ c``.
+
+        ``weights`` is a scalar or a (k,) vector; with a spectrum's
+        eigenvectors and f(eigenvalues) this is Tr(O f(rho)).
+        """
+        c = np.asarray(columns)
+        return float(np.sum(weights * np.real(np.sum(c.conj() * (self @ c), axis=0))))
 
 
 StateLike = Union[PureState, DensityMatrix]

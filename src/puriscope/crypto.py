@@ -70,6 +70,8 @@ def run_verification(
     """
     if n < 2:
         raise DomainError("verification needs n >= 2 payload qubits")
+    if trials < 1:
+        raise DomainError(f"verification needs at least one trial, got {trials}")
     accepted = 0
     by_alpha = {round(a, 6): [0, 0] for a in ALPHAS}
     for trial in range(trials):
@@ -191,8 +193,8 @@ def run_blind_estimation(
     all_mean = float(reported.mean())
     kept_mean = float(kept.mean()) if kept.size else float("nan")
     kept_std = float(kept.std(ddof=1)) if kept.size > 1 else 0.0
-    truth = float(np.real(psi.conj() @ (observable @ psi)))
-    all_truth = float(np.real(np.trace(observable.matrix @ mixture)))
+    truth = observable.expectation(psi[:, None], 1.0)
+    all_truth = observable.expectation(np.column_stack([psi, psi_perp]), 0.5)
 
     transcript = []
     if record_transcript:

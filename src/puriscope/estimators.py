@@ -64,19 +64,13 @@ JointState = Union[PureState, DensityMatrix]
 
 
 def _joint_marginals(state: JointState, nA: Optional[int]) -> tuple[DensityMatrix, DensityMatrix, int, int]:
-    if isinstance(state, PureState):
-        if state.nB < 1:
-            raise DomainError("identity checks need a bipartite register (nB >= 1)")
-        nA, nB = state.nA, state.nB
-        return partial_trace(state, "A"), partial_trace(state, "B"), nA, nB
+    nA = state.nA if isinstance(state, PureState) else nA
     if nA is None:
         raise DomainError("a DensityMatrix joint state needs an explicit nA split")
     nB = state.n - nA
     if nA < 1 or nB < 1:
         raise DomainError("split must leave at least one qubit on each side")
-    rho_a = partial_trace(state, range(nA))
-    rho_b = partial_trace(state, range(nA, state.n))
-    return rho_a, rho_b, nA, nB
+    return partial_trace(state, range(nA)), partial_trace(state, range(nA, state.n)), nA, nB
 
 
 def _blocks(state: JointState, dA: int) -> tuple[np.ndarray, np.ndarray]:
@@ -136,23 +130,18 @@ def oracle_identity_check(
         rhs = rho_a.spectral().apply(lambda w: np.clip(w, 0, None) ** t)
         return trace_norm(lhs - rhs)
 
+    # Principal steering is the (0, 0) case of cross steering:
+    # reconstruct |psi_A^k><psi_A^j| from a B-side flip.
     spec_b = rho_b.spectral()
     if kind is PurificationIdentity.PRINCIPAL_STEERING:
         if spec_b.gap <= DEFAULT_RANK_TOL:
             raise GapError(f"principal eigenvalue is degenerate (gap {spec_b.gap})")
-        lam0 = spec_b.eigenvalues[0]
-        psi_b0 = spec_b.eigenvectors[:, 0]
-        lhs = _steer(state, nA, nB, np.outer(psi_b0, psi_b0.conj())) / lam0
-        spec_a = rho_a.spectral()
-        psi_a0 = spec_a.eigenvectors[:, 0]
-        rhs = np.outer(psi_a0, psi_a0.conj())
-        return trace_norm(lhs - rhs)
-
-    # Cross steering: reconstruct |psi_A^k><psi_A^j| from a B-side flip.
-    j, k = pair
-    r = spec_b.rank
-    if not (0 <= j < r and 0 <= k < r and j != k):
-        raise DomainError(f"pair {pair} must name two distinct nonzero eigenvalues (rank {r})")
+        j = k = 0
+    else:
+        j, k = pair
+        r = spec_b.rank
+        if not (0 <= j < r and 0 <= k < r and j != k):
+            raise DomainError(f"pair {pair} must name two distinct nonzero eigenvalues (rank {r})")
     lam_j, lam_k = spec_b.eigenvalues[j], spec_b.eigenvalues[k]
     flip = np.outer(spec_b.eigenvectors[:, j], spec_b.eigenvectors[:, k].conj())
     lhs = _steer(state, nA, nB, flip) / np.sqrt(lam_j * lam_k)
@@ -304,9 +293,7 @@ def estimate_virtual_cooling(
         terms=lambda spec: [(1.0, spec.apply(lambda w: np.clip(w, 0.0, None) ** (t - 1)))],
     )[0]
     a_side = schmidt_decompose(psi).a_side
-    v = a_side.eigenvectors
-    diagonal = np.real(np.sum(v.conj() * (observable @ v), axis=0))  # <v_j|O|v_j>
-    report.truth = float(np.sum(a_side.eigenvalues ** t * diagonal))  # Tr(O rho_A^t)
+    report.truth = observable.expectation(a_side.eigenvectors, a_side.eigenvalues ** t)  # Tr(O rho_A^t)
     return report
 
 
@@ -333,8 +320,7 @@ def estimate_pca(
     report = _two_stage(
         rho_b, budget, seed, joint=psi, observable=observable, terms=lambda spec: [_principal(spec)]
     )[0]
-    psi_a0 = schmidt_decompose(psi).a_side.eigenvectors[:, 0]
-    report.truth = float(np.real(psi_a0.conj() @ (observable @ psi_a0)))
+    report.truth = observable.expectation(schmidt_decompose(psi).a_side.eigenvectors[:, :1], 1.0)
     return report
 
 

@@ -44,7 +44,7 @@ from puriscope import (
     virtual_distillation_estimate,
     trace_norm,
 )
-from puriscope.core import PAULI_X, PAULI_Z, pauli_on
+from puriscope.core import PAULI_I, PAULI_X, PAULI_Z, pauli_on
 from puriscope.estimators import eigenstate_factor_exact, eigenstate_factor_incoherent
 
 
@@ -59,11 +59,13 @@ def _random_mixed(n, rank, rng, weights=None):
     return DensityMatrix((u[:, :rank] * w) @ u[:, :rank].conj().T, n)
 
 
-def _embedded_rank2(n, rng, weights=(0.6, 0.4)):
+def _embedded_rank2(n, rng, weights=(0.6, 0.4), thin=False):
     chi = rng.standard_normal(2 ** (n - 1)) + 1j * rng.standard_normal(2 ** (n - 1))
     chi /= np.linalg.norm(chi)
     e0 = np.kron(np.array([1.0, 0]), chi)
     e1 = np.kron(np.array([0, 1.0]), chi)
+    if thin:
+        return DensityMatrix.from_columns(np.column_stack([e0, e1]) * np.sqrt(weights), n)
     m = weights[0] * np.outer(e0, e0.conj()) + weights[1] * np.outer(e1, e1.conj())
     return DensityMatrix(m, n)
 
@@ -94,13 +96,13 @@ class TestCriterion2ConstantComplexity:
     BUDGET = 20_000
     TRIALS = 100
 
-    def _errors(self, estimator, n_values=(2, 8)):
+    def _errors(self, estimator, n_values, thin):
         out = {}
         for n in n_values:
             errs = []
             for trial in range(self.TRIALS):
                 rng = child_rng(1100, n, trial)
-                rho = _embedded_rank2(n, rng)
+                rho = _embedded_rank2(n, rng, thin=thin)
                 psi = purify(rho, 1)
                 seed = int(child_rng(1101, n, trial).integers(2 ** 31))
                 errs.append(estimator(psi, n, seed))
@@ -108,13 +110,13 @@ class TestCriterion2ConstantComplexity:
         return out
 
     def _check(self, label, means):
-        lo, hi = means[2], means[8]
+        lo, hi = means[min(means)], means[max(means)]
         ratio = hi / lo
         assert 1 / 1.5 <= ratio <= 1.5, (label, means)
         assert max(means.values()) <= 0.1, (label, means)
         return ratio
 
-    def test_constant_sample_complexity(self):
+    def _ratios(self, n_values, on_qubit0, thin=False):
         budget = ShotBudget.split(self.BUDGET)
 
         def moment(psi, n, seed):
@@ -122,16 +124,13 @@ class TestCriterion2ConstantComplexity:
             return rep.abs_error
 
         def cooling(psi, n, seed):
-            obs = Observable(pauli_on(n, 0, PAULI_Z))
-            return estimate_virtual_cooling(psi, obs, 2, budget, seed).abs_error
+            return estimate_virtual_cooling(psi, on_qubit0(n, PAULI_Z), 2, budget, seed).abs_error
 
         def pca(psi, n, seed):
-            obs = Observable(pauli_on(n, 0, PAULI_Z))
-            return estimate_pca(psi, obs, budget, seed).abs_error
+            return estimate_pca(psi, on_qubit0(n, PAULI_Z), budget, seed).abs_error
 
         def qfi(psi, n, seed):
-            obs = Observable(pauli_on(n, 0, PAULI_X))
-            return estimate_qfi(psi, obs, budget, seed).abs_error
+            return estimate_qfi(psi, on_qubit0(n, PAULI_X), budget, seed).abs_error
 
         ratios = {}
         for label, estimator in [
@@ -140,9 +139,18 @@ class TestCriterion2ConstantComplexity:
             ("pca", pca),
             ("qfi", qfi),
         ]:
-            ratios[label] = self._check(label, self._errors(estimator))
+            ratios[label] = self._check(label, self._errors(estimator, n_values, thin))
         pretty = ", ".join(f"{k} x{v:.2f}" for k, v in ratios.items())
-        _report(2, f"constant sample complexity, error ratios nA=8/nA=2: {pretty}")
+        _report(2, f"constant sample complexity, error ratios nA={max(n_values)}/nA={min(n_values)}: {pretty}")
+
+    def test_constant_sample_complexity(self):
+        self._ratios((2, 8), lambda n, pauli: Observable(pauli_on(n, 0, pauli)))
+
+    def test_constant_sample_complexity_to_na_14(self):
+        """The same check up to nA = 14, on column-built states and factor-built observables."""
+        self._ratios(
+            (2, 14), lambda n, pauli: Observable.from_factors([pauli] + [PAULI_I] * (n - 1)), thin=True
+        )
 
 
 class TestCriterion3HardInstanceValues:

@@ -14,7 +14,7 @@ from puriscope import (
     swap_test_moment,
     wilson_interval,
 )
-from puriscope.core import PAULI_Z, pauli_on
+from puriscope.core import PAULI_Z, basis_state, pauli_on
 from puriscope.errors import DomainError, GuardError
 
 
@@ -112,7 +112,7 @@ class TestSingleCopyAttack:
         assert report.extras["n"] == 3
 
     def test_guard(self):
-        rho = DensityMatrix(np.eye(2 ** 11) / 2 ** 11, 11)
+        rho = DensityMatrix.from_columns(basis_state(11)[:, None], 11)
         with pytest.raises(GuardError):
             single_copy_purity_attack(rho, 1000, seed=3)
 
@@ -131,6 +131,11 @@ class TestWilson:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             wilson_interval(0, 0)
+
+    @pytest.mark.parametrize("successes", [-1, 51])
+    def test_rejects_successes_outside_trials(self, successes):
+        with pytest.raises(DomainError):
+            wilson_interval(successes, 50)
 
 
 class TestDistinguish:

@@ -43,6 +43,11 @@ class TestVerification:
         with pytest.raises(DomainError):
             run_verification(1, ServerModel(ServerKind.HONEST_UNBOUNDED), 10, seed=5)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_needs_a_trial(self, trials):
+        with pytest.raises(DomainError):
+            run_verification(3, ServerModel(ServerKind.HONEST_UNBOUNDED), trials, seed=5)
+
 
 class TestBlindEstimation:
     def test_identity_preparation(self):

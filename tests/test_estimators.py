@@ -28,7 +28,7 @@ from puriscope import (
     sample_ensemble,
     schmidt_decompose,
 )
-from puriscope.core import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, kron_all, pauli_on
+from puriscope.core import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, basis_state, kron_all, pauli_on
 from puriscope.errors import (
     DomainError,
     GapError,
@@ -113,6 +113,12 @@ class TestIdentities:
         psi = purify(rho, 1)
         with pytest.raises(DomainError):
             oracle_identity_check(psi, PurificationIdentity.CROSS_STEERING, pair=(0, 3))
+
+    @pytest.mark.parametrize("n_a", [0, 2])
+    def test_pure_state_needs_both_sides(self, n_a):
+        psi = PureState(basis_state(2), n_a, 2 - n_a)
+        with pytest.raises(DomainError):
+            oracle_identity_check(psi, PurificationIdentity.MARGINAL_PURITY)
 
 
 class TestEstimateMoment:
