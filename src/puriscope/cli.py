@@ -2,24 +2,34 @@
 
 Every subcommand resolves its configuration, runs its trials and writes
 one JSON result file (plus CSV when requested) with the schema
-{experiment, config, results, summary, seed, version, timestamp}.  The
-estimator, channel and swap-test trials and the RMSE trials of
-separation fan out over ``--jobs`` worker processes; the other trials
-run in order in one process.  Exit codes: 0 success, 2 precondition or
-numerical failure (a ``LinAlgError`` or ``ZeroDivisionError`` in a
-trial), 3 acceptance-threshold failure, 64 usage error.
+{experiment, config, results, summary, seed, environment, version,
+timestamp}.  The estimator, channel and swap-test trials and the RMSE
+trials of separation fan out over ``--jobs`` worker processes; the other
+trials run in order in one process.  Each process runs one BLAS thread
+unless the caller sets a thread variable.  Exit codes: 0 success, 2
+precondition or numerical failure (a ``LinAlgError`` or
+``ZeroDivisionError`` in a trial), 3 acceptance-threshold failure, 64
+usage error.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
-import datetime
-import json
 import os
-import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
+
+# One BLAS thread per CLI process, set before numpy loads: the CLI's
+# arrays are small and its parallelism is ``--jobs``, whose forked
+# workers inherit this.  A caller's setting of any of the three wins.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and not any(var in os.environ for var in THREAD_VARS):
+    os.environ.update(dict.fromkeys(THREAD_VARS, "1"))
+
+import argparse
+import datetime
+import functools
+import json
+import platform
+import subprocess
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -44,15 +54,6 @@ from .estimators import (
     estimate_virtual_cooling,
     oracle_identity_check,
 )
-from .baselines import _estimate_statistic, distinguish_experiment, swap_test_moment
-from .channels import (
-    canonicalize,
-    channel_pca_estimate,
-    random_channel,
-    unitarity_estimate,
-    virtual_distillation_estimate,
-)
-from .crypto import ServerKind, ServerModel, run_blind_estimation, run_verification, write_transcript
 from .measurement import ShotBudget
 
 IDENTITY_TOLERANCE = 1e-9
@@ -115,14 +116,15 @@ def _estimator_trial(payload: tuple) -> dict:
 
 
 def _channel_trial(payload: tuple) -> dict:
+    from . import channels
+
     kind, n, rank, budget, seed, trial = payload
     rng = child_rng(seed, trial)
-    channel = random_channel(n, rank, rng)
-    iso = canonicalize(channel)
+    iso = channels.canonicalize(channels.random_channel(n, rank, rng))
     trial_seed = _trial_seed(seed, trial)
     split = ShotBudget.split(budget)
     if kind == "channel-unitarity":
-        report = unitarity_estimate(iso, ShotBudget(tomography_shots=budget), trial_seed)
+        report = channels.unitarity_estimate(iso, ShotBudget(tomography_shots=budget), trial_seed)
     else:
         d = 2 ** n
         state_vec = np.zeros((d, d), dtype=complex)
@@ -130,13 +132,15 @@ def _channel_trial(payload: tuple) -> dict:
         rho_in = DensityMatrix(state_vec, n)
         obs = _on_qubit0(n)
         if kind == "channel-distill":
-            report = virtual_distillation_estimate(iso, rho_in, obs, split, trial_seed)
+            report = channels.virtual_distillation_estimate(iso, rho_in, obs, split, trial_seed)
         else:
-            report = channel_pca_estimate(iso, rho_in, obs, split, trial_seed)
+            report = channels.channel_pca_estimate(iso, rho_in, obs, split, trial_seed)
     return _row(report, trial)
 
 
 def _swap_trial(payload: tuple) -> dict:
+    from .baselines import swap_test_moment
+
     n, rank, t, shots, seed, trial = payload
     sample = _sample_state(n, rank, seed, trial)
     report = swap_test_moment(sample.rho, _on_qubit0(n), t, shots, _trial_seed(seed, trial))
@@ -145,6 +149,8 @@ def _swap_trial(payload: tuple) -> dict:
 
 
 def _rmse_trial(payload: tuple) -> dict:
+    from .baselines import _estimate_statistic
+
     family_value, n, strategy, budget, seed, trial = payload
     spec = EnsembleSpec(EnsembleFamily(family_value), n)
     sample = sample_ensemble(spec, child_rng(seed, trial))
@@ -155,14 +161,24 @@ def _rmse_trial(payload: tuple) -> dict:
 def _parallel_map(fn: Callable, payloads: list, jobs: int) -> list:
     if jobs <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, payloads, chunksize=max(1, len(payloads) // (4 * jobs))))
+
+
+def _named_trial(fn: Callable, payload: tuple) -> dict:
+    """``fn(payload)``; a precondition failure gains the trial index and keeps its class."""
+    try:
+        return fn(payload)
+    except PuriscopeError as exc:
+        raise type(exc)(f"trial {payload[-1]}: {exc}") from exc
 
 
 def _fan_out(fn: Callable, config: tuple, args) -> list:
     """``fn`` on ``(*config, args.seed, trial)`` for every trial, over ``args.jobs`` workers."""
     payloads = [(*config, args.seed, trial) for trial in range(args.trials)]
-    return _parallel_map(fn, payloads, args.jobs)
+    return _parallel_map(functools.partial(_named_trial, fn), payloads, args.jobs)
 
 
 def _version_string() -> str:
@@ -181,10 +197,28 @@ def _version_string() -> str:
     return f"puriscope-{__version__}"
 
 
+def _environment(jobs: int) -> dict:
+    """What the run's speed depends on: versions, BLAS, CPUs and threads."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except TypeError:  # numpy < 1.26: show_config takes no mode
+        blas = None
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        "cpu_count": os.cpu_count(),
+        "thread_env": {var: os.environ.get(var) for var in THREAD_VARS},
+        "jobs": jobs,
+    }
+
+
 def _write_outputs(payload: dict, out_path: Path, fmt: str) -> None:
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if fmt == "csv":
+        import csv
+
         rows = payload["results"]
         csv_path = out_path.with_suffix(".csv")
         if rows:
@@ -270,6 +304,8 @@ _SEPARATION_PAIRS = {
 
 
 def _run_separation(args) -> tuple[list, dict, bool]:
+    from .baselines import distinguish_experiment
+
     fam_a, fam_b = _SEPARATION_PAIRS[args.task]
     results = []
     purification_success = []
@@ -297,6 +333,8 @@ def _run_separation(args) -> tuple[list, dict, bool]:
 
 
 def _run_crypto_verify(args) -> tuple[list, dict, bool]:
+    from .crypto import ServerKind, ServerModel, run_verification
+
     results = []
     rates = {}
     for kind in ServerKind:
@@ -310,6 +348,8 @@ def _run_crypto_verify(args) -> tuple[list, dict, bool]:
 
 
 def _run_crypto_blind(args) -> tuple[list, dict, bool]:
+    from .crypto import run_blind_estimation, write_transcript
+
     rng = child_rng(args.seed, 0)
     u = haar_unitary(2 ** args.n, rng)
     obs = _on_qubit0(args.n)
@@ -419,7 +459,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         results, summary, ok = EXPERIMENTS[experiment](args)
     except PuriscopeError as exc:
-        sys.stderr.write(f"precondition failure: {exc}\n")
+        sys.stderr.write(f"precondition failure (seed {args.seed}): {exc}\n")
         return 2
     except (np.linalg.LinAlgError, ZeroDivisionError) as exc:
         sys.stderr.write(f"numerical failure: {type(exc).__name__}: {exc}\n")
@@ -434,6 +474,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         "results": results,
         "summary": {"pass": bool(ok), "metrics": summary},
         "seed": args.seed,
+        "environment": _environment(args.jobs),
         "version": _version_string(),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }

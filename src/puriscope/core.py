@@ -225,9 +225,6 @@ class DensityMatrix:
     def rank(self) -> int:
         return self._spectrum.rank
 
-    def expectation(self, observable: np.ndarray) -> float:
-        return float(np.real(np.trace(observable @ self.matrix)))
-
 
 @dataclass(frozen=True)
 class SpectralDecomposition:

@@ -39,6 +39,7 @@ class TestCliRuns:
             "results",
             "summary",
             "seed",
+            "environment",
             "version",
             "timestamp",
         }
@@ -145,6 +146,19 @@ class TestCliContract:
         )
         assert rc == 2
         assert payload is None
+
+    @pytest.mark.parametrize("seed, trial", [(4, 0), (0, 3)])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_precondition_failure_names_seed_and_trial(self, tmp_path, capsys, seed, trial, jobs):
+        # Seed 0 fails first on trial 3, so with jobs=2 the index comes back from a worker.
+        out = tmp_path / "result.json"
+        rc = main(["channel-pca", "--n", "3", "--trials", "4", "--jobs", str(jobs),
+                   "--seed", str(seed), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"precondition failure (seed {seed}): trial {trial}: leading-weight gap ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "fn, payload, error",
