@@ -86,8 +86,8 @@ def swap_test_moment(
     stderr = float(np.sqrt(max(second - value ** 2, 0.0) / shots))
     x_mean = float(np.sum(counts * x_signs[:, None]) / shots)
 
-    spec = rho.spectral()
-    truth = observable.expectation(spec.eigenvectors, np.clip(spec.eigenvalues, 0.0, None) ** t)
+    columns, weights = rho.spectral().support()
+    truth = observable.expectation(columns, weights ** t)
 
     return EstimatorReport(
         value=value,

@@ -26,7 +26,7 @@ from .core import (
     partial_trace,
 )
 from .errors import DomainError, GapError, GuardError, ValidationError
-from .estimators import DEFAULT_MIN_GAP, _principal, _two_stage
+from .estimators import DEFAULT_MIN_GAP, _guard_observable, _principal, _two_stage
 from .measurement import ShotBudget
 from .reports import EstimatorReport
 
@@ -181,15 +181,10 @@ def canonicalize(channel: QuantumChannel) -> StinespringIsometry:
     Choi eigenvalues below core.DEFAULT_RANK_TOL (relative) are dropped; the kept
     weights are renormalized and the ancilla takes ceil(log2 rank) qubits.
     """
-    choi = channel.choi()
-    spec = eigh(choi)
-    r = spec.rank
-    if r < 1:
-        raise ValidationError("channel has an empty Choi support")
-    weights = np.clip(spec.eigenvalues[:r], 0.0, None)
+    columns, weights = eigh(channel.choi()).support()
     weights = weights / weights.sum()
-    d = channel.dim
-    kraus = tuple(np.sqrt(d) * spec.eigenvectors[:, i].reshape(d, d) for i in range(r))
+    r, d = weights.size, channel.dim
+    kraus = tuple(np.sqrt(d) * columns[:, i].reshape(d, d) for i in range(r))
     b = int(np.ceil(np.log2(r)))
     dB = 2 ** b
     v = np.zeros((d, dB, d), dtype=complex)  # row index (system, environment)
@@ -231,8 +226,7 @@ def virtual_distillation_estimate(
     stage 2 measures O (x) rho_B_hat on the dilated output of rho_in.
     """
     _guard_env(iso)
-    if observable.dim != iso.dim:
-        raise DomainError("observable dimension does not match the channel")
+    _guard_observable(observable, iso.dim)
     report = _two_stage(
         iso.env_state(maximally_mixed(iso.n)),
         budget,
@@ -254,8 +248,7 @@ def channel_pca_estimate(
 ) -> EstimatorReport:
     """Estimate Tr(O E_0 rho E_0^dag), the action of the leading Kraus component."""
     _guard_env(iso)
-    if observable.dim != iso.dim:
-        raise DomainError("observable dimension does not match the channel")
+    _guard_observable(observable, iso.dim)
     gap = float(iso.weights[0] - iso.weights[1]) if iso.weights.size > 1 else float(iso.weights[0])
     if gap < DEFAULT_MIN_GAP:
         raise GapError(f"leading-weight gap {gap:.4f} below required {DEFAULT_MIN_GAP}")

@@ -270,7 +270,8 @@ def _error_summary(results: list) -> dict:
 
 def _run_estimator(args) -> tuple[list, dict, bool]:
     ancilla = _ancilla_for(args.rank, args.ancilla)
-    config = (args.experiment, args.n, args.rank, ancilla, args.t, args.budget)
+    # pca and qfi take no --t
+    config = (args.experiment, args.n, args.rank, ancilla, getattr(args, "t", None), args.budget)
     results = _fan_out(_estimator_trial, config, args)
     summary = _error_summary(results)
     return results, summary, summary["mean_abs_error"] <= ERROR_GATE
@@ -370,22 +371,24 @@ def _run_crypto_blind(args) -> tuple[list, dict, bool]:
     return [row], summary, ok
 
 
-# Experiment name -> runner(args) returning (result rows, summary metrics,
-# pass); the order is the subcommand order of ``--help``.
-EXPERIMENTS: dict[str, Callable] = {
-    "identities": _run_identities,
-    "moment": _run_estimator,
-    "cooling": _run_estimator,
-    "pca": _run_estimator,
-    "qfi": _run_estimator,
-    "channel-unitarity": _run_channel,
-    "channel-distill": _run_channel,
-    "channel-pca": _run_channel,
-    "separation": _run_separation,
-    "crypto-verify": _run_crypto_verify,
-    "crypto-blind": _run_crypto_blind,
-    "swap-test": _run_swap,
+# Experiment name -> (runner(args) returning (result rows, summary metrics,
+# pass), the flags the runner reads); the order is the subcommand order of
+# ``--help``.  Every subcommand also takes the RUN_SETTINGS.
+EXPERIMENTS: dict[str, tuple[Callable, tuple[str, ...]]] = {
+    "identities": (_run_identities, ("t", "trials")),
+    "moment": (_run_estimator, ("n", "ancilla", "rank", "t", "budget", "trials")),
+    "cooling": (_run_estimator, ("n", "ancilla", "rank", "t", "budget", "trials")),
+    "pca": (_run_estimator, ("n", "ancilla", "rank", "budget", "trials")),
+    "qfi": (_run_estimator, ("n", "ancilla", "rank", "budget", "trials")),
+    "channel-unitarity": (_run_channel, ("n", "rank", "budget", "trials")),
+    "channel-distill": (_run_channel, ("n", "rank", "budget", "trials")),
+    "channel-pca": (_run_channel, ("n", "rank", "budget", "trials")),
+    "separation": (_run_separation, ("n", "budget", "trials", "task")),
+    "crypto-verify": (_run_crypto_verify, ("n", "budget", "trials")),
+    "crypto-blind": (_run_crypto_blind, ("n", "rounds")),
+    "swap-test": (_run_swap, ("n", "rank", "t", "budget", "trials")),
 }
+RUN_SETTINGS = ("seed", "out", "format", "jobs")
 
 
 def _int_at_least(low: int) -> Callable[[str], int]:
@@ -398,6 +401,23 @@ def _int_at_least(low: int) -> Callable[[str], int]:
     return integer
 
 
+# Flag name -> its add_argument keywords.
+_FLAGS: dict[str, dict] = {
+    "n": {"default": "4", "help": "qubit count (ranges like 2..8 for separation)"},
+    "ancilla": {"type": int, "default": None, "help": "purification qubits"},
+    "rank": {"type": int, "default": 2},
+    "t": {"type": int, "default": 2, "help": "moment order"},
+    "budget": {"type": int, "default": 20_000, "help": "total shots per trial"},
+    "trials": {"type": _int_at_least(1), "default": 20},
+    "rounds": {"type": int, "default": 10_000, "help": "crypto-blind rounds"},
+    "task": {"choices": sorted(_SEPARATION_PAIRS), "default": "purity"},
+    "seed": {"type": _int_at_least(0), "default": None},
+    "out": {"type": str, "default": None},
+    "format": {"choices": ("json", "csv"), "default": "json"},
+    "jobs": {"type": _int_at_least(1), "default": os.cpu_count() or 1},
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -408,20 +428,12 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="puriscope", description=__doc__)
     sub = parser.add_subparsers(dest="experiment", parser_class=_Parser)
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name)
-        p.add_argument("--n", default="4", help="qubit count (ranges like 2..8 for separation)")
-        p.add_argument("--ancilla", type=int, default=None, help="purification qubits")
-        p.add_argument("--rank", type=int, default=2)
-        p.add_argument("--t", type=int, default=2, help="moment order")
-        p.add_argument("--budget", type=int, default=20_000, help="total shots per trial")
-        p.add_argument("--trials", type=_int_at_least(1), default=20)
-        p.add_argument("--rounds", type=int, default=10_000, help="crypto-blind rounds")
-        p.add_argument("--task", choices=sorted(_SEPARATION_PAIRS), default="purity")
-        p.add_argument("--seed", type=_int_at_least(0), default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--jobs", type=_int_at_least(1), default=os.cpu_count() or 1)
+    for name, (_, flags) in EXPERIMENTS.items():
+        # No abbreviations: a flag the subcommand lacks (qfi --t) is a usage
+        # error, not a prefix of one it has (--trials).
+        p = sub.add_parser(name, allow_abbrev=False)
+        for flag in (*flags, *RUN_SETTINGS):
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
@@ -443,21 +455,23 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.print_usage(sys.stderr)
         return 64
 
-    try:
-        n_values = _parse_n_range(args.n)
-    except ValueError:
-        n_values = []
-    if not n_values:
-        parser.error(f"--n {args.n!r} names no qubit count (use N, N..M or N,M,...)")
+    experiment = args.experiment
+    runner, flags = EXPERIMENTS[experiment]
+    if "n" in flags:
+        try:
+            n_values = _parse_n_range(args.n)
+        except ValueError:
+            n_values = []
+        if not n_values:
+            parser.error(f"--n {args.n!r} names no qubit count (use N, N..M or N,M,...)")
+        if experiment != "separation":
+            args.n = n_values[0]
 
     args.seed = _resolve_seed(parser, args.seed)
-    experiment = args.experiment
     args.out = args.out or f"{experiment}_seed{args.seed}.json"
-    if experiment != "separation":
-        args.n = n_values[0]
 
     try:
-        results, summary, ok = EXPERIMENTS[experiment](args)
+        results, summary, ok = runner(args)
     except PuriscopeError as exc:
         sys.stderr.write(f"precondition failure (seed {args.seed}): {exc}\n")
         return 2

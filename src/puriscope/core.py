@@ -245,13 +245,13 @@ class SpectralDecomposition:
             return 0
         return int(np.sum(self.eigenvalues > DEFAULT_RANK_TOL * scale))
 
-    def support(self, declared_rank: int | None = None) -> np.ndarray:
-        """Indices of nonzero eigenvalues, thresholded or by declared rank."""
-        if declared_rank is not None:
-            if not 1 <= declared_rank <= self.eigenvalues.size:
-                raise DomainError(f"declared rank {declared_rank} out of range")
-            return np.arange(declared_rank)
-        return np.arange(self.rank)
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """Columns c_j and weights w_j with state = sum_j w_j |c_j><c_j| over its support.
+
+        The first max(rank, 1) eigenvectors, with their eigenvalues clipped at 0.
+        """
+        r = max(self.rank, 1)
+        return self.eigenvectors[:, :r], np.clip(self.eigenvalues[:r], 0.0, None)
 
     @property
     def gap(self) -> float:
@@ -540,13 +540,12 @@ def schmidt_decompose(state: PureState) -> SchmidtDecomposition:
 
 
 def matrix_power_trace(rho: DensityMatrix, t: int) -> float:
-    """Exact Tr(rho^t) = sum_j lambda_j^t from the spectral decomposition."""
+    """Exact Tr(rho^t) = sum_j lambda_j^t over the support of the spectrum."""
     if t < 1:
         raise DomainError(f"moment order t={t} must be >= 1")
     if t == 1:
         return 1.0
-    w = np.clip(rho.spectral().eigenvalues, 0.0, None)
-    return float(np.sum(w ** t))
+    return float(np.sum(rho.spectral().support()[1] ** t))
 
 
 def trace_norm(m: np.ndarray) -> float:

@@ -100,7 +100,6 @@ class EnsembleSpec:
     n: int
     rank: Optional[int] = None
     weights: Optional[tuple[float, ...]] = None
-    seed: Optional[int] = None
 
     def __post_init__(self):
         family = EnsembleFamily(self.family)
@@ -120,8 +119,8 @@ class EnsembleSpec:
             if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
                 raise ValidationError("weights must be nonnegative and sum to 1 within 1e-12")
             object.__setattr__(self, "weights", tuple(float(x) for x in w))
-        elif self.weights is not None:
-            raise DomainError("weights are only meaningful for random_rank_r")
+        elif self.rank is not None or self.weights is not None:
+            raise DomainError(f"{family.value} has a fixed rank; rank and weights are for random_rank_r")
 
     @property
     def declared_rank(self) -> int:
@@ -135,7 +134,6 @@ class EnsembleSpec:
             "n": self.n,
             "rank": self.rank,
             "weights": list(self.weights) if self.weights is not None else None,
-            "seed": self.seed,
         }
 
     @staticmethod
@@ -148,7 +146,6 @@ class EnsembleSpec:
             n=int(obj["n"]),
             rank=obj.get("rank"),
             weights=tuple(weights) if weights is not None else None,
-            seed=obj.get("seed"),
         )
 
 
@@ -162,7 +159,6 @@ class LabeledSample:
 
     rho: DensityMatrix
     hidden: dict
-    label: EnsembleFamily
 
 
 def analytic_mean_purity(spec: EnsembleSpec) -> float:
@@ -266,7 +262,7 @@ def sample_ensemble(
     hidden["weights"] = tuple(w for w, _ in parts)
     hidden["components"] = tuple(vec for _, vec in parts)
     columns = np.column_stack([np.sqrt(w) * vec for w, vec in parts])
-    return LabeledSample(DensityMatrix.from_columns(columns, n), hidden, fam)
+    return LabeledSample(DensityMatrix.from_columns(columns, n), hidden)
 
 
 def purify(rho: DensityMatrix, nB: int) -> PureState:
@@ -277,15 +273,14 @@ def purify(rho: DensityMatrix, nB: int) -> PureState:
     """
     if nB < 0:
         raise DomainError("ancilla count must be nonnegative")
-    spec = rho.spectral()
-    r = spec.rank
+    columns, lam = rho.spectral().support()
+    r = lam.size
     if 2 ** nB < r:
         raise CapacityError(f"2**{nB} ancilla levels cannot hold rank {r}")
-    lam = np.clip(spec.eigenvalues[:r], 0.0, None)
     amps = np.zeros((rho.dim, 2 ** nB), dtype=complex)  # row index: A, column: B
     # Add onto +0.0 rather than assign, so no -0.0 entry of the eigenvectors
     # reaches the state (tests compare its bytes with the term-by-term sum).
-    amps[:, :r] += spec.eigenvectors[:, :r] * np.sqrt(lam)
+    amps[:, :r] += columns * np.sqrt(lam)
     amps = amps / np.linalg.norm(amps)
     return PureState(amps, rho.n, nB)
 
@@ -296,16 +291,15 @@ def classical_correlate(rho: DensityMatrix, nB: int) -> DensityMatrix:
     Returns sum_j lambda_j |psi_j><psi_j| (x) |j><j|_B, which shares every
     marginal with the purification but carries no cross-basis coherence.
     """
-    spec = rho.spectral()
-    r = spec.rank
+    columns, lam = rho.spectral().support()
+    r = lam.size
     if 2 ** nB < r:
         raise CapacityError(f"2**{nB} ancilla levels cannot hold rank {r}")
-    lam = np.clip(spec.eigenvalues[:r], 0.0, None)
     lam = lam / lam.sum()
     d, dB = rho.dim, 2 ** nB
     out = np.zeros((d, dB, d, dB), dtype=complex)  # indices (A, B, A', B')
     for j in range(r):
-        vec = spec.eigenvectors[:, j]
+        vec = columns[:, j]
         # Add onto +0.0, as in purify: no -0.0 entries.
         out[:, j, :, j] += lam[j] * np.outer(vec, vec.conj())
     return DensityMatrix(out.reshape(d * dB, d * dB), rho.n + nB)

@@ -369,8 +369,8 @@ def qfi_oracle(
     """Exact quantum Fisher information, read from the support columns S of a spectrum.
 
     ``rho`` is a state or its spectral decomposition, possibly thin (the
-    A-side Schmidt factor of a purification).  With S the eigenvalues
-    above the rank tolerance, in O(d^2 |S|) and with no d x d product:
+    A-side Schmidt factor of a purification).  With S the columns of its
+    ``support()``, in O(d^2 |S|) and with no d x d product:
 
         support_only = 2 sum_{j,k in S} (l_j - l_k)^2 / (l_j + l_k) |O_jk|^2
         full = support_only + 4 sum_{j in S} l_j (|O v_j|^2 - sum_{k in S} |O_kj|^2)
@@ -382,10 +382,7 @@ def qfi_oracle(
     """
     if mode not in ("full", "support_only"):
         raise DomainError(f"unknown mode {mode!r}")
-    spec = rho if isinstance(rho, SpectralDecomposition) else rho.spectral()
-    lam = np.clip(spec.eigenvalues, 0.0, None)
-    keep = lam > DEFAULT_RANK_TOL * max(lam.max(), 1e-300)
-    lam, v = lam[keep], spec.eigenvectors[:, keep]
+    v, lam = (rho if isinstance(rho, SpectralDecomposition) else rho.spectral()).support()
     o_v = observable @ v
     overlap = np.abs(v.conj().T @ o_v) ** 2  # |O_jk|^2 on S x S
     ratio = (lam[:, None] - lam[None, :]) ** 2 / (lam[:, None] + lam[None, :])
@@ -412,7 +409,7 @@ def estimate_qfi(
     factor measured through the two flip observables; unordered pairs
     enter with multiplicity 2.  The report's truth is the support-QFI
     oracle, with the full-QFI oracle recorded separately because the
-    protocol cannot see support/null cross terms.  ``extras["term_table"]``
+    protocol cannot see support/null cross terms.  ``extras["term_table"]["pairs"]``
     has one row [j, k, lambda_j, lambda_k, prefactor, eigenstate_factor]
     per unordered pair of nonzero eigenvalues; the estimate sums
     2 * prefactor * eigenstate_factor over the rows.
@@ -421,9 +418,8 @@ def estimate_qfi(
     _guard_observable(observable, 2 ** psi.nA)
 
     rho_b = partial_trace(psi, "B")
-    spec_exact = rho_b.spectral()
-    r = spec_exact.rank
-    lam_exact = spec_exact.eigenvalues[:r]
+    lam_exact = rho_b.spectral().support()[1]
+    r = lam_exact.size
     for j in range(r):
         if lam_exact[j] < min_eigenvalue:
             raise PreconditionError(
@@ -460,6 +456,6 @@ def estimate_qfi(
     report.extras = {
         "full_qfi_oracle": qfi_oracle(a_side, observable, "full"),
         "support_rank": r,
-        "term_table": {"support_rank": r, "pairs": rows},
+        "term_table": {"pairs": rows},
     }
     return report

@@ -64,13 +64,6 @@ class ShotBudget:
         return ShotBudget(tomography_shots=tomo, observable_shots=total - tomo)
 
 
-def _support(state: StateLike) -> tuple[np.ndarray, np.ndarray]:
-    """Columns c_j and weights w_j with state = sum_j w_j |c_j><c_j| over its support."""
-    spec = state.spectral()
-    r = max(spec.rank, 1)
-    return spec.eigenvectors[:, :r], np.clip(spec.eigenvalues[:r], 0.0, None)
-
-
 def born_probabilities(state: StateLike, basis: Union[np.ndarray, tuple]) -> np.ndarray:
     """Outcome probabilities for measuring in the given orthonormal basis.
 
@@ -87,7 +80,7 @@ def born_probabilities(state: StateLike, basis: Union[np.ndarray, tuple]) -> np.
     dims = [f.shape[-1] for f in factors]
     if math.prod(dims) != state.dim:
         raise DimensionError(f"basis dimension {math.prod(dims)} != state dimension {state.dim}")
-    columns, weights = _support(state)
+    columns, weights = state.spectral().support()
     t = columns.reshape(dims + [-1])
     for i, f in enumerate(factors):
         # t is (k_{i-1}, d_{i-1}, ..., k_0, d_0, d_i, ..., r); an unstacked factor has k = 1
@@ -290,7 +283,7 @@ def _rm_purity_estimates(
         raise InsufficientDataError("the pair statistic needs at least 2 shots per unitary")
     d = state.dim
     m = shots_per_unitary
-    _, weights = _support(state)
+    _, weights = state.spectral().support()
     r = weights.size
     weights = weights / weights.sum()
     per_draw = max(1, _FRAME_CHUNK // (d * r))

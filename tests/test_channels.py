@@ -289,6 +289,17 @@ class TestChannelPca:
             channel_pca_estimate(iso, rho, Observable(PAULI_Z), ShotBudget(1000, 1000), seed=10)
 
 
+@pytest.mark.parametrize("estimator", [virtual_distillation_estimate, channel_pca_estimate])
+def test_channel_estimators_guard_the_observable(estimator):
+    # the state estimators' guard: the dimension, then the spectral norm
+    iso = canonicalize(amplitude_damping_channel(0.1))
+    rho = maximally_mixed(1)
+    with pytest.raises(GuardError):
+        estimator(iso, rho, Observable(20 * PAULI_Z), ShotBudget(1000, 1000), seed=11)
+    with pytest.raises(DomainError):
+        estimator(iso, rho, Observable(pauli_on(2, 0, PAULI_Z)), ShotBudget(1000, 1000), seed=11)
+
+
 # (estimator, n, value, stderr) for a Choi-rank-2 random channel on |0><0|,
 # observable Z on qubit 0, at a 2e4/2e4 budget.
 STAGE_TWO_PINS = [

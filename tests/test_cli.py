@@ -126,6 +126,18 @@ class TestCliContract:
         assert "--n" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv", [("qfi", "--rounds", "5"), ("qfi", "--t", "3"), ("identities", "--n", "3")]
+    )
+    def test_unread_flag_exits_64(self, tmp_path, capsys, argv):
+        # --t is not taken as an abbreviation of qfi's --trials
+        out = tmp_path / "result.json"
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--trials", "1", "--jobs", "1", "--out", str(out)])
+        assert err.value.code == 64
+        assert argv[1] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_subcommand_exits_64(self):
         assert main([]) == 64
 
@@ -172,9 +184,8 @@ class TestCliContract:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_numerical_failure_exits_2(self, tmp_path, monkeypatch, capsys, fn, payload, error, jobs):
         # jobs=2 raises in a pool worker, and the pool re-raises it in main.
-        monkeypatch.setitem(
-            cli.EXPERIMENTS, "pca", lambda args: cli._parallel_map(fn, [payload] * 2, args.jobs)
-        )
+        failing = lambda args: cli._parallel_map(fn, [payload] * 2, args.jobs)  # noqa: E731
+        monkeypatch.setitem(cli.EXPERIMENTS, "pca", (failing, cli.EXPERIMENTS["pca"][1]))
         out = tmp_path / "result.json"
         rc = main(["pca", "--n", "3", "--trials", "2", "--jobs", str(jobs), "--out", str(out)])
         assert rc == 2
@@ -218,3 +229,34 @@ class TestCliContract:
         a = json.loads(out_a.read_text())
         b = json.loads(out_b.read_text())
         assert a["results"] == b["results"]
+
+
+# A small value for every experiment flag, so each subcommand runs in well under a second.
+TINY_FLAGS = {
+    "n": "2", "ancilla": "1", "rank": "2", "t": "2", "budget": "400", "trials": "1",
+    "rounds": "100", "task": "purity",
+}
+
+
+@pytest.mark.parametrize("experiment", list(cli.EXPERIMENTS))
+def test_every_offered_flag_is_read(tmp_path, monkeypatch, experiment):
+    runner, flags = cli.EXPERIMENTS[experiment]
+    subparsers = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    offered = {a.dest for a in subparsers.choices[experiment]._actions} - {"help"}
+    assert offered == {*flags, *cli.RUN_SETTINGS}
+
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    spy = lambda args: runner(Recording(**vars(args)))  # noqa: E731
+    monkeypatch.setitem(cli.EXPERIMENTS, experiment, (spy, flags))
+    argv = [experiment, *(x for flag in flags for x in (f"--{flag}", TINY_FLAGS[flag]))]
+    rc = main(argv + ["--seed", "1", "--jobs", "1", "--out", str(tmp_path / "result.json")])
+    assert rc in (0, 3)
+    assert set(flags) <= reads

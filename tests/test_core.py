@@ -28,7 +28,7 @@ from puriscope.core import (
 )
 from puriscope.ensembles import child_rng, haar_state, haar_unitary, purify
 from puriscope.errors import DimensionError, DomainError, ValidationError
-from puriscope.estimators import _expectation_weights, _steer
+from puriscope.estimators import _expectation_weights, _steer, qfi_oracle
 from puriscope.measurement import born_probabilities
 
 BELL = PureState(np.array([1, 0, 0, 1]) / np.sqrt(2), 1, 1)
@@ -225,13 +225,31 @@ class TestEigh:
         for cube, rho in zip(cubes, rhos):
             assert np.abs(cube - np.linalg.matrix_power(rho.matrix, 3)).max() < 1e-12
 
-    def test_declared_rank_mode(self):
-        spec = eigh(np.diag([0.7, 0.3, 0.0, 0.0]).astype(complex))
+    def test_support_is_the_leading_columns_with_clipped_weights(self):
+        spec = eigh(np.diag([0.3, -1e-12, 0.7, 0.0]).astype(complex))
+        columns, weights = spec.support()
         assert spec.rank == 2
-        np.testing.assert_array_equal(spec.support(), [0, 1])
-        np.testing.assert_array_equal(spec.support(declared_rank=3), [0, 1, 2])
-        with pytest.raises(DomainError):
-            spec.support(declared_rank=0)
+        np.testing.assert_array_equal(columns, spec.eigenvectors[:, :2])
+        np.testing.assert_array_equal(weights, [0.7, 0.3])
+        # a spectrum with nothing above the tolerance keeps one column, at weight 0
+        flat = SpectralDecomposition(np.array([-0.1, -0.2]), np.eye(2))
+        columns, weights = flat.support()
+        assert flat.rank == 0
+        np.testing.assert_array_equal(columns, np.eye(2)[:, :1])
+        np.testing.assert_array_equal(weights, [0.0])
+
+
+def test_support_readers_drop_an_eigenvalue_below_the_rank_tolerance():
+    # eigenvalues 0.6, 0.4 and 1e-12 (below 1e-9 * 0.6) on |00>, |01>, |10>
+    rho = DensityMatrix(np.diag([0.6, 0.4 - 1e-12, 1e-12, 0.0]).astype(complex), 2)
+    assert rho.rank() == 2
+    np.testing.assert_array_equal(born_probabilities(rho, np.eye(4))[2:], 0.0)
+    assert purify(rho, 1).nB == 1  # two ancilla levels hold the support
+    # X on qubit 0 couples |00> only to |10>, so no support pair sees it
+    x0 = Observable.from_factors([PAULI_X, PAULI_I])
+    assert qfi_oracle(rho, x0, "support_only") == 0.0
+    assert abs(qfi_oracle(rho, x0, "full") - 4.0) < 1e-11
+    assert matrix_power_trace(rho, 3) == float(np.sum(np.array([0.6, 0.4 - 1e-12]) ** 3))
 
 
 def _reference_fix_phase(column):

@@ -78,9 +78,7 @@ class TestHaarSampling:
 
 class TestEnsembleSpec:
     def test_json_round_trip(self):
-        spec = EnsembleSpec(
-            EnsembleFamily.RANDOM_RANK_R, 3, rank=2, weights=(0.7, 0.3), seed=99
-        )
+        spec = EnsembleSpec(EnsembleFamily.RANDOM_RANK_R, 3, rank=2, weights=(0.7, 0.3))
         blob = json.dumps(spec.to_json())
         again = EnsembleSpec.from_json(blob)
         assert again == spec
@@ -88,6 +86,13 @@ class TestEnsembleSpec:
     def test_weight_validation(self):
         with pytest.raises(ValidationError):
             EnsembleSpec(EnsembleFamily.RANDOM_RANK_R, 2, rank=2, weights=(0.6, 0.3))
+
+    def test_fixed_rank_family_rejects_rank_and_weights(self):
+        with pytest.raises(DomainError):
+            EnsembleSpec(EnsembleFamily.PURITY_S1, 3, rank=5)
+        with pytest.raises(DomainError):
+            EnsembleSpec(EnsembleFamily.PURITY_S1, 3, weights=(0.9, 0.1))
+        assert EnsembleSpec(EnsembleFamily.PURITY_S1, 3).declared_rank == 2
 
     def test_family_minimum_qubits(self):
         with pytest.raises(DomainError):
