@@ -4,12 +4,13 @@ Every subcommand resolves its configuration, runs its trials and writes
 one JSON result file (plus CSV when requested) with the schema
 {experiment, config, results, summary, seed, environment, version,
 timestamp}.  The estimator, channel and swap-test trials and the RMSE
-trials of separation fan out over ``--jobs`` worker processes; the other
-trials run in order in one process.  Each process runs one BLAS thread
-unless the caller sets a thread variable.  Exit codes: 0 success, 2
-precondition or numerical failure (a ``LinAlgError`` or
-``ZeroDivisionError`` in a trial), 3 acceptance-threshold failure, 64
-usage error.
+trials of separation run in order until they have used ``_POOL_AFTER_S``,
+and the rest, if two or more, on up to ``--jobs`` worker processes, so a
+small fan-out never forks; the other trials run in order in one process.
+Each process runs one BLAS thread unless the caller sets a thread variable.
+Exit codes: 0 success, 2 precondition or numerical failure (a
+``LinAlgError`` or ``ZeroDivisionError`` in a trial), 3
+acceptance-threshold failure, 64 usage error.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ import argparse
 import datetime
 import functools
 import json
-import platform
-import subprocess
+import time
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -158,13 +158,29 @@ def _rmse_trial(payload: tuple) -> dict:
     return {"trial": trial, "error": value - sample.rho.purity()}
 
 
-def _parallel_map(fn: Callable, payloads: list, jobs: int) -> list:
-    if jobs <= 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
-    from concurrent.futures import ProcessPoolExecutor
+# Wall time the trials run in order in this process before the rest, if two
+# or more, go to min(jobs, remaining) workers: ski rental, paying per trial
+# until the total reaches the price of a pool.  On a 2-CPU VM a pool cost
+# 25-35 ms from a process that had run a trial and 75 ms from one that had
+# not (its workers import numpy.random again); 0.1 s covers both with a margin.
+_POOL_AFTER_S = 0.1
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, payloads, chunksize=max(1, len(payloads) // (4 * jobs))))
+
+def _parallel_map(fn: Callable, payloads: list, jobs: int) -> list:
+    """``fn`` on every payload, in order; the rest go to a pool as ``_POOL_AFTER_S`` says."""
+    results = []
+    start = time.perf_counter()
+    for payload in payloads:
+        results.append(fn(payload))
+        rest = len(payloads) - len(results)
+        if jobs > 1 and rest >= 2 and time.perf_counter() - start > _POOL_AFTER_S:
+            from concurrent.futures import ProcessPoolExecutor
+
+            workers = min(jobs, rest)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results += pool.map(fn, payloads[-rest:], chunksize=max(1, rest // (4 * workers)))
+            break
+    return results
 
 
 def _named_trial(fn: Callable, payload: tuple) -> dict:
@@ -181,22 +197,6 @@ def _fan_out(fn: Callable, config: tuple, args) -> list:
     return _parallel_map(functools.partial(_named_trial, fn), payloads, args.jobs)
 
 
-def _version_string() -> str:
-    try:
-        described = subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--tags"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-        if described.returncode == 0:
-            return f"puriscope-{__version__}+{described.stdout.strip()}"
-    except (OSError, subprocess.SubprocessError):
-        pass
-    return f"puriscope-{__version__}"
-
-
 def _environment(jobs: int) -> dict:
     """What the run's speed depends on: versions, BLAS, CPUs and threads."""
     try:
@@ -204,7 +204,7 @@ def _environment(jobs: int) -> dict:
     except TypeError:  # numpy < 1.26: show_config takes no mode
         blas = None
     return {
-        "python": platform.python_version(),
+        "python": "{}.{}.{}".format(*sys.version_info[:3]),
         "numpy": np.__version__,
         "blas": blas,
         "cpu_count": os.cpu_count(),
@@ -489,7 +489,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         "summary": {"pass": bool(ok), "metrics": summary},
         "seed": args.seed,
         "environment": _environment(args.jobs),
-        "version": _version_string(),
+        "version": f"puriscope-{__version__}",
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     out_path = Path(args.out)

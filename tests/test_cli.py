@@ -4,10 +4,12 @@ import json
 import math
 import operator
 import os
+import types
 
 import numpy as np
 import pytest
 
+import puriscope
 from puriscope import cli
 from puriscope.cli import main
 
@@ -44,7 +46,7 @@ class TestCliRuns:
             "timestamp",
         }
         assert len(payload["results"]) == 4
-        assert payload["version"].startswith("puriscope-")
+        assert payload["version"] == f"puriscope-{puriscope.__version__}"
 
     def test_swap_test(self, tmp_path):
         rc, payload, _ = run_cli(
@@ -161,8 +163,10 @@ class TestCliContract:
 
     @pytest.mark.parametrize("seed, trial", [(4, 0), (0, 3)])
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_precondition_failure_names_seed_and_trial(self, tmp_path, capsys, seed, trial, jobs):
-        # Seed 0 fails first on trial 3, so with jobs=2 the index comes back from a worker.
+    def test_precondition_failure_names_seed_and_trial(self, tmp_path, monkeypatch, capsys, seed, trial, jobs):
+        # Seed 0 fails first on trial 3, so with jobs=2 and the pool forced
+        # after trial 0 the index comes back from a worker.
+        monkeypatch.setattr(cli, "_POOL_AFTER_S", 0)
         out = tmp_path / "result.json"
         rc = main(["channel-pca", "--n", "3", "--trials", "4", "--jobs", str(jobs),
                    "--seed", str(seed), "--out", str(out)])
@@ -173,18 +177,21 @@ class TestCliContract:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "fn, payload, error",
+        "fn, good, payload, error",
         [
-            pytest.param(np.linalg.inv, np.zeros((2, 2)), "LinAlgError", id="LinAlgError"),
+            pytest.param(np.linalg.inv, np.eye(2), np.zeros((2, 2)), "LinAlgError", id="LinAlgError"),
             pytest.param(
-                functools.partial(operator.truediv, 1.0), 0.0, "ZeroDivisionError", id="ZeroDivisionError"
+                functools.partial(operator.truediv, 1.0), 1.0, 0.0, "ZeroDivisionError",
+                id="ZeroDivisionError",
             ),
         ],
     )
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_numerical_failure_exits_2(self, tmp_path, monkeypatch, capsys, fn, payload, error, jobs):
-        # jobs=2 raises in a pool worker, and the pool re-raises it in main.
-        failing = lambda args: cli._parallel_map(fn, [payload] * 2, args.jobs)  # noqa: E731
+    def test_numerical_failure_exits_2(self, tmp_path, monkeypatch, capsys, fn, good, payload, error, jobs):
+        # jobs=2 runs the good payload here, forks the pool and raises in a
+        # worker, and the pool re-raises it in main.
+        monkeypatch.setattr(cli, "_POOL_AFTER_S", 0)
+        failing = lambda args: cli._parallel_map(fn, [good, payload, payload], args.jobs)  # noqa: E731
         monkeypatch.setitem(cli.EXPERIMENTS, "pca", (failing, cli.EXPERIMENTS["pca"][1]))
         out = tmp_path / "result.json"
         rc = main(["pca", "--n", "3", "--trials", "2", "--jobs", str(jobs), "--out", str(out)])
@@ -219,7 +226,8 @@ class TestCliContract:
         assert err.value.code == 64
         assert "PURISCOPE_SEED" in capsys.readouterr().err
 
-    def test_parallel_matches_serial(self, tmp_path):
+    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_POOL_AFTER_S", 0)  # trials 1-3 run in workers
         out_a = tmp_path / "a.json"
         out_b = tmp_path / "b.json"
         main(["pca", "--n", "3", "--trials", "4", "--budget", "6000", "--seed", "4",
@@ -229,6 +237,56 @@ class TestCliContract:
         a = json.loads(out_a.read_text())
         b = json.loads(out_b.read_text())
         assert a["results"] == b["results"]
+
+
+class _RecordingPool:
+    """A ProcessPoolExecutor stand-in that forks nothing: it records each pool's
+    worker count and payloads, and runs them in this process."""
+
+    opened: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, payloads, chunksize):
+        self.opened.append((self.max_workers, list(payloads)))
+        return map(fn, payloads)
+
+
+@pytest.mark.parametrize(
+    "trials, jobs, in_process, workers",
+    [
+        (10, 8, 4, 6),  # 6 trials remain at the switch, so 6 workers, not 8
+        (10, 2, 4, 2),
+        (5, 8, 5, None),  # one trial remains at the switch: no pool
+        (3, 8, 3, None),  # 0.09 s in all: no pool
+        (10, 1, 10, None),
+    ],
+)
+def test_pool_takes_the_rest_after_pool_after_s(monkeypatch, trials, jobs, in_process, workers):
+    # Each trial takes 0.03 s on a fake clock, so the fourth one ends past
+    # _POOL_AFTER_S = 0.1 s.
+    import concurrent.futures
+
+    clock = [0.0]
+
+    def trial(payload):
+        clock[0] += 0.03
+        return payload * 10
+
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "opened", [])
+    assert cli._POOL_AFTER_S == 0.1
+    assert cli._parallel_map(trial, list(range(trials)), jobs) == [10 * p for p in range(trials)]
+    expected = [] if workers is None else [(workers, list(range(in_process, trials)))]
+    assert _RecordingPool.opened == expected
 
 
 # A small value for every experiment flag, so each subcommand runs in well under a second.

@@ -93,13 +93,25 @@ class TestLazyPackage:
                    for module in SUBMODULES for name in puriscope._EXPORTS[module])
 
 
+def cli_imports(cwd, *argv) -> set:
+    """The modules a fresh ``python -X importtime -m puriscope.cli *argv`` imports."""
+    done = python("-X", "importtime", "-m", "puriscope.cli", *argv, "--seed", "1", cwd=cwd)
+    return {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines() if "|" in line}
+
+
 def test_qfi_run_imports_no_unused_experiment_code(tmp_path):
-    done = python("-X", "importtime", "-m", "puriscope.cli", "qfi", "--n", "3", "--trials", "1",
-                  "--jobs", "1", "--seed", "1", cwd=tmp_path)
-    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines() if "|" in line}
+    imported = cli_imports(tmp_path, "qfi", "--n", "3", "--trials", "1", "--jobs", "1")
     assert "puriscope.estimators" in imported
     assert not imported & {"puriscope.baselines", "puriscope.channels", "puriscope.crypto",
                            "concurrent.futures"}
+
+
+def test_small_fan_out_never_forks(tmp_path):
+    # The second trial is the only one left when a pool could start, and one
+    # remaining trial never goes to a pool, however long the first took.
+    imported = cli_imports(tmp_path, "moment", "--n", "2", "--trials", "2", "--jobs", "2")
+    assert "puriscope.estimators" in imported
+    assert "concurrent.futures" not in imported
 
 
 @pytest.mark.parametrize(
