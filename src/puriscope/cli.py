@@ -8,15 +8,24 @@ trials of separation run in order until they have used ``_POOL_AFTER_S``,
 and the rest, if two or more, on up to ``--jobs`` worker processes, so a
 small fan-out never forks; the other trials run in order in one process.
 Each process runs one BLAS thread unless the caller sets a thread variable.
+A CLI process (``run``) freezes the heap its imports built, so the garbage
+collector never walks it again; run as ``__main__`` it keeps the collector
+off while they load.
 Exit codes: 0 success, 2 precondition or numerical failure (a
-``LinAlgError`` or ``ZeroDivisionError`` in a trial), 3
-acceptance-threshold failure, 64 usage error.
+``LinAlgError`` or ``ZeroDivisionError`` in a trial, or a non-finite
+value or stderr), 3 acceptance-threshold failure, 64 usage error.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
+
+# No collections while the imports below build a heap that lives until
+# exit; ``run`` freezes it and turns the collector back on.
+if __name__ == "__main__":
+    gc.disable()
 
 # One BLAS thread per CLI process, set before numpy loads: the CLI's
 # arrays are small and its parallelism is ``--jobs``, whose forked
@@ -45,7 +54,7 @@ from .ensembles import (
     purify,
     sample_ensemble,
 )
-from .errors import PuriscopeError
+from .errors import InsufficientDataError, PuriscopeError
 from .estimators import (
     PurificationIdentity,
     estimate_moment,
@@ -91,7 +100,14 @@ def _trial_seed(seed: int, trial: int) -> int:
 
 
 def _row(report, trial: int, **extra) -> dict:
-    """A trial's result row: its report's JSON without ``extras``, plus the trial index."""
+    """A trial's result row: its report's JSON without ``extras``, plus the trial index.
+
+    A non-finite value or stderr is an ``InsufficientDataError``: JSON has no NaN.
+    """
+    if not np.isfinite([report.value, report.stderr]).all():
+        raise InsufficientDataError(
+            f"value {report.value} or stderr {report.stderr} is not finite; the trial needs more shots"
+        )
     row = report.to_json()
     del row["extras"]
     return {**row, "trial": trial, **extra}
@@ -213,13 +229,12 @@ def _environment(jobs: int) -> dict:
     }
 
 
-def _write_outputs(payload: dict, out_path: Path, fmt: str) -> None:
+def _write_outputs(text: str, rows: list, out_path: Path, fmt: str) -> None:
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    out_path.write_text(text + "\n")
     if fmt == "csv":
         import csv
 
-        rows = payload["results"]
         csv_path = out_path.with_suffix(".csv")
         if rows:
             fieldnames = sorted({key for row in rows for key in row})
@@ -425,14 +440,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(64)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of subcommand ``only`` alone.
+
+    ``main`` passes the subcommand its ``argv`` names: each parser and each
+    ``add_argument`` builds help formatters, and a run reads one
+    subcommand.  Usage and help list every subcommand either way.
+    """
+    single = only in EXPERIMENTS
     parser = _Parser(prog="puriscope", description=__doc__)
-    sub = parser.add_subparsers(dest="experiment", parser_class=_Parser)
-    for name, (_, flags) in EXPERIMENTS.items():
+    sub = parser.add_subparsers(
+        dest="experiment",
+        parser_class=_Parser,
+        metavar="{" + ",".join(EXPERIMENTS) + "}" if single else None,
+    )
+    for name in [only] if single else EXPERIMENTS:
         # No abbreviations: a flag the subcommand lacks (qfi --t) is a usage
         # error, not a prefix of one it has (--trials).
         p = sub.add_parser(name, allow_abbrev=False)
-        for flag in (*flags, *RUN_SETTINGS):
+        for flag in (*EXPERIMENTS[name][1], *RUN_SETTINGS):
             p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
@@ -449,7 +475,8 @@ def _resolve_seed(parser: argparse.ArgumentParser, seed: Optional[int]) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     if args.experiment is None:
         parser.print_usage(sys.stderr)
@@ -492,11 +519,33 @@ def main(argv: Optional[list[str]] = None) -> int:
         "version": f"puriscope-{__version__}",
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        sys.stderr.write(f"numerical failure (seed {args.seed}): {exc}\n")
+        return 2
     out_path = Path(args.out)
-    _write_outputs(payload, out_path, args.format)
+    _write_outputs(text, results, out_path, args.format)
     print(f"{experiment}: {'pass' if ok else 'FAIL'} -> {out_path}")
     return 0 if ok else 3
 
 
+def run() -> int:
+    """The CLI process's entry: ``main()`` on a frozen import heap.
+
+    ``gc.freeze`` moves every object alive now, most of them the imports',
+    out of all later collections, including the ones at exit; a forked
+    ``--jobs`` pool inherits the frozen heap, so its workers' collections
+    do not write to (and copy) those pages.  The second freeze spares the
+    exit collections the run's own objects.
+    """
+    gc.freeze()
+    gc.enable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,5 +1,6 @@
 import argparse
 import functools
+import gc
 import json
 import math
 import operator
@@ -12,6 +13,8 @@ import pytest
 import puriscope
 from puriscope import cli
 from puriscope.cli import main
+from puriscope.errors import InsufficientDataError
+from puriscope.reports import EstimatorReport
 
 
 def run_cli(tmp_path, *args):
@@ -318,3 +321,73 @@ def test_every_offered_flag_is_read(tmp_path, monkeypatch, experiment):
     rc = main(argv + ["--seed", "1", "--jobs", "1", "--out", str(tmp_path / "result.json")])
     assert rc in (0, 3)
     assert set(flags) <= reads
+
+
+class TestNonFiniteResults:
+    @pytest.mark.parametrize("value, stderr", [(math.nan, 0.1), (1.0, math.nan), (1.0, math.inf)])
+    def test_row_refuses_non_finite(self, value, stderr):
+        with pytest.raises(InsufficientDataError, match="not finite"):
+            cli._row(EstimatorReport(value=value, stderr=stderr), trial=0)
+
+    def test_non_finite_summary_exits_2(self, tmp_path, monkeypatch, capsys):
+        # A value no row check covers still never reaches the file as NaN.
+        nan_summary = lambda args: ([{"trial": 0}], {"metric": math.nan}, True)  # noqa: E731
+        monkeypatch.setitem(cli.EXPERIMENTS, "pca", (nan_summary, cli.EXPERIMENTS["pca"][1]))
+        out = tmp_path / "result.json"
+        assert main(["pca", "--n", "3", "--trials", "1", "--seed", "6", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("numerical failure (seed 6): ")
+        assert not out.exists()
+
+
+def test_main_leaves_the_collector_alone(tmp_path):
+    # The GC policy belongs to the process entry, run(); main() is for callers in-process.
+    frozen = gc.get_freeze_count()
+    rc, _, _ = run_cli(tmp_path, "moment", "--n", "2", "--trials", "1", "--seed", "1")
+    assert rc == 0
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == frozen
+
+
+def _subparser(parser, name):
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return subparsers.choices[name]
+
+
+class TestSingleSubcommandParser:
+    @pytest.mark.parametrize("experiment", list(cli.EXPERIMENTS))
+    def test_offers_what_the_full_parser_offers(self, experiment):
+        def flags(parser):
+            return [
+                (a.option_strings, a.dest, a.default, a.type, a.choices, a.help)
+                for a in _subparser(parser, experiment)._actions
+            ]
+
+        assert flags(cli.build_parser(experiment)) == flags(cli.build_parser())
+
+    @pytest.mark.parametrize("experiment", list(cli.EXPERIMENTS))
+    def test_help_text_is_the_full_parsers(self, experiment, capsys):
+        texts = []
+        for parser in (cli.build_parser(experiment), cli.build_parser()):
+            with pytest.raises(SystemExit) as err:
+                parser.parse_args([experiment, "--help"])
+            assert err.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+
+    def test_top_level_help_lists_every_subcommand(self):
+        full = cli.build_parser()
+        assert all(cli.build_parser(name).format_help() == full.format_help() for name in cli.EXPERIMENTS)
+
+    def test_qfi_run_adds_only_its_flags(self, tmp_path, monkeypatch):
+        added = []
+        add_argument = argparse._ActionsContainer.add_argument
+
+        def recording(self, *args, **kwargs):
+            added.append(args)
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", recording)
+        rc, _, _ = run_cli(tmp_path, "qfi", "--n", "2", "--trials", "1", "--budget", "400", "--seed", "1")
+        assert rc in (0, 3)
+        help_flags = 2  # puriscope's and qfi's --help
+        assert len(added) == len(cli.EXPERIMENTS["qfi"][1]) + len(cli.RUN_SETTINGS) + help_flags

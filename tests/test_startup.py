@@ -1,4 +1,5 @@
-"""What a fresh interpreter loads and sets: lazy package import, CLI import budget, thread pin.
+"""What a fresh interpreter loads and sets: lazy package import, CLI import budget, thread pin,
+the CLI process's collector policy and its console script.
 
 The checks of what loads run in a fresh interpreter each, because the
 test process has long since imported numpy and the whole package.
@@ -40,7 +41,7 @@ EXPORTS = [
 ]
 
 
-def python(*args, cwd=None, **env_vars):
+def python(*args, cwd=None, expect=0, **env_vars):
     """Run a fresh interpreter on this checkout's package, without the caller's thread variables."""
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
@@ -48,7 +49,7 @@ def python(*args, cwd=None, **env_vars):
     done = subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=120
     )
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == expect, done.stderr
     return done
 
 
@@ -133,3 +134,73 @@ def test_environment_block_records_thread_pin(tmp_path, env_vars, expected):
     assert environment["cpu_count"] == os.cpu_count()
     assert environment["python"] == "{}.{}.{}".format(*sys.version_info[:3])
     assert environment["numpy"] and environment["blas"]
+
+
+# Run the CLI module as __main__, as ``python -m`` does, and report how the
+# collector ran: at each collection, the freeze count and whether numpy had
+# started to load; and the collector's state at exit.
+RUN_AS_MAIN = """
+import gc, json, runpy, sys
+seen = []
+gc.callbacks.append(
+    lambda phase, info: phase == "start" and seen.append([gc.get_freeze_count(), "numpy" in sys.modules])
+)
+sys.argv[0] = "puriscope"
+try:
+    runpy.run_module("puriscope.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "seen": seen, "enabled": gc.isenabled(), "frozen": gc.get_freeze_count()}))
+"""
+
+
+def test_cli_process_freezes_its_import_heap(tmp_path):
+    done = python("-c", RUN_AS_MAIN, "moment", "--n", "2", "--trials", "2", "--jobs", "1",
+                  "--seed", "1", cwd=tmp_path)
+    state = json.loads(done.stdout.splitlines()[-1])
+    assert state["code"] == 0
+    assert state["enabled"]
+    assert state["frozen"] > 10_000
+    # No collection ran between numpy starting to load and the first freeze,
+    # so none walked the heap the imports built.
+    assert [0, True] not in state["seen"]
+
+
+def test_pool_under_the_process_entry_matches_serial(tmp_path):
+    # Through run(), as ``-m`` runs it, with every trial after the first sent to the pool.
+    wrapper = (
+        "import gc, sys\ngc.disable()\nfrom puriscope import cli\ncli._POOL_AFTER_S = 0\n"
+        "code = cli.run()\nprint('concurrent.futures' in sys.modules, gc.get_freeze_count() > 0)\n"
+        "sys.exit(code)"
+    )
+    argv = ["pca", "--n", "3", "--trials", "4", "--budget", "6000", "--seed", "4"]
+    done = python("-c", wrapper, *argv, "--jobs", "2", "--out", "pool.json", cwd=tmp_path)
+    assert done.stdout.splitlines()[-1] == "True True"
+    python("-m", "puriscope.cli", *argv, "--jobs", "1", "--out", "serial.json", cwd=tmp_path)
+    pool, serial = (json.loads((tmp_path / name).read_text()) for name in ("pool.json", "serial.json"))
+    assert pool["results"] == serial["results"]
+
+
+def test_console_script_is_the_process_entry(tmp_path):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(SRC).parent / "pyproject.toml"
+    module, attr = tomllib.loads(pyproject.read_text())["project"]["scripts"]["puriscope"].split(":")
+    assert (module, attr) == ("puriscope.cli", "run")
+    # What an installed ``puriscope`` script runs, against ``python -m``, on a run that exits 3.
+    script = f"import sys\nfrom {module} import {attr}\nsys.exit({attr}())"
+    argv = ["moment", "--n", "3", "--budget", "12", "--trials", "2", "--jobs", "1", "--seed", "1"]
+    python("-c", script, *argv, "--out", "script.json", cwd=tmp_path, expect=3)
+    python("-m", "puriscope.cli", *argv, "--out", "module.json", cwd=tmp_path, expect=3)
+    script_out, module_out = (json.loads((tmp_path / name).read_text()) for name in ("script.json", "module.json"))
+    del script_out["timestamp"], module_out["timestamp"]
+    assert script_out == module_out
+
+
+def test_nan_stderr_exits_2_naming_seed_and_trial(tmp_path):
+    # In a fresh process, where the run's divide-by-zero warnings are not errors:
+    # trial 18 of this run bootstraps a nan stderr, which JSON cannot hold.
+    done = python("-m", "puriscope.cli", "qfi", "--n", "2", "--budget", "200", "--trials", "40",
+                  "--jobs", "1", "--seed", "1", "--out", "result.json", cwd=tmp_path, expect=2)
+    assert "precondition failure (seed 1): trial 18: " in done.stderr
+    assert "stderr nan is not finite" in done.stderr
+    assert not (tmp_path / "result.json").exists()
