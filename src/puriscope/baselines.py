@@ -10,13 +10,14 @@ qubit count as evidence, not proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from .core import DensityMatrix, HADAMARD, Observable, PAULI_I, PAULI_X, PAULI_Z, matrix_power_trace
 from .ensembles import (
+    SEPARATION_PAIRS,
     EnsembleFamily,
     EnsembleSpec,
     analytic_mean_purity,
@@ -57,7 +58,7 @@ def swap_test_moment(
         raise DomainError("observable dimension does not match the state")
 
     rank = rho.rank()
-    nB = 0 if rank == 1 else int(math.ceil(math.log2(rank)))
+    nB = (rank - 1).bit_length()
     psi = purify(rho, nB)
     if observable is None:  # <X (x) I> is Tr(rho^t)
         observable = Observable.from_factors([PAULI_I] * rho.n)
@@ -145,14 +146,7 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return max(0.0, center - half), min(1.0, center + half)
 
 
-_FAMILY_GROUP = {
-    EnsembleFamily.PURITY_S1: "purity",
-    EnsembleFamily.PURITY_S2: "purity",
-    EnsembleFamily.VC_PCA_S1: "cooling",
-    EnsembleFamily.VC_PCA_S2: "cooling",
-    EnsembleFamily.FISHER_S1: "fisher",
-    EnsembleFamily.FISHER_S2: "fisher",
-}
+_FAMILY_GROUP = {family: kind for kind, pair in SEPARATION_PAIRS.items() for family in pair}
 
 
 def _analytic_statistic_mean(family: EnsembleFamily, n: int, kind: str) -> float:
@@ -209,17 +203,9 @@ class DistinguishResult:
     kind: str
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "strategy": self.strategy,
-            "budget": self.budget,
-            "trials": self.trials,
-            "success": self.success,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "threshold": self.threshold,
-            "statistic": self.kind,
-        }
+        row = asdict(self)
+        row["statistic"] = row.pop("kind")
+        return row
 
 
 def distinguish_experiment(

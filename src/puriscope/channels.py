@@ -52,7 +52,7 @@ class QuantumChannel:
             if k.shape != (d, d):
                 raise ValidationError(f"Kraus shape {k.shape} != ({d}, {d})")
         total = sum(k.conj().T @ k for k in ops)
-        if np.abs(total - np.eye(d)).max() > COMPLETENESS_ATOL:
+        if not np.abs(total - np.eye(d)).max() <= COMPLETENESS_ATOL:
             raise ValidationError("Kraus operators are not trace preserving within 1e-9")
         object.__setattr__(self, "kraus", ops)
 
@@ -114,19 +114,18 @@ class StinespringIsometry:
         dB = 2 ** self.b
         if v.shape != (d * dB, d):
             raise ValidationError(f"isometry shape {v.shape} != ({d * dB}, {d})")
-        if np.abs(v.conj().T @ v - np.eye(d)).max() > ISOMETRY_ATOL:
+        if not np.abs(v.conj().T @ v - np.eye(d)).max() <= ISOMETRY_ATOL:
             raise ValidationError("V^dag V deviates from the identity beyond 1e-9")
         w = np.asarray(self.weights, dtype=float)
-        if abs(w.sum() - 1.0) > 1e-10:
+        if not abs(w.sum() - 1.0) <= 1e-10:
             raise ValidationError("canonical weights must sum to 1 within 1e-10")
         if np.any(np.diff(w) > 1e-12):
             raise ValidationError("canonical weights must be in descending order")
         ops = tuple(np.asarray(k, dtype=complex) for k in self.canonical_kraus)
-        for i, ki in enumerate(ops):
-            for j, kj in enumerate(ops):
-                want = d if i == j else 0.0
-                if abs(np.trace(ki.conj().T @ kj) - want) > KRAUS_ORTHO_ATOL * d:
-                    raise ValidationError("canonical Kraus operators are not orthonormal")
+        flat = np.array(ops).reshape(len(ops), d * d)
+        gram = flat.conj() @ flat.T  # Tr(K_i^dag K_j)
+        if not np.all(np.abs(gram - d * np.eye(len(ops))) <= KRAUS_ORTHO_ATOL * d):
+            raise ValidationError("canonical Kraus operators are not orthonormal")
         object.__setattr__(self, "matrix", v)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "canonical_kraus", ops)
@@ -185,7 +184,7 @@ def canonicalize(channel: QuantumChannel) -> StinespringIsometry:
     weights = weights / weights.sum()
     r, d = weights.size, channel.dim
     kraus = tuple(np.sqrt(d) * columns[:, i].reshape(d, d) for i in range(r))
-    b = int(np.ceil(np.log2(r)))
+    b = (r - 1).bit_length()
     dB = 2 ** b
     v = np.zeros((d, dB, d), dtype=complex)  # row index (system, environment)
     for i in range(r):
@@ -207,7 +206,7 @@ def unitarity_estimate(iso: StinespringIsometry, budget: ShotBudget, seed: int) 
         iso.env_state(maximally_mixed(iso.n)),
         budget,
         seed,
-        spectral=lambda w: np.sum(np.clip(w, 0.0, None) ** 2, axis=-1),
+        spectral=lambda w: np.sum(w ** 2, axis=-1),
     )[0]
     report.truth = float(np.sum(iso.weights ** 2))
     return report

@@ -47,6 +47,7 @@ import numpy as np
 from . import __version__
 from .core import DensityMatrix, Observable, PAULI_I, PAULI_X, PAULI_Z
 from .ensembles import (
+    SEPARATION_PAIRS,
     EnsembleFamily,
     EnsembleSpec,
     child_rng,
@@ -77,7 +78,8 @@ def _default_weights(rank: int) -> tuple[float, ...]:
 
 
 def _ancilla_for(rank: int, requested: Optional[int]) -> int:
-    minimal = max(1, int(np.ceil(np.log2(max(rank, 1)))))
+    """``--ancilla``, else the fewest qubits (at least one) that hold ``rank``."""
+    minimal = max(1, (rank - 1).bit_length())
     if requested is None:
         return minimal
     if 2 ** requested < rank:
@@ -247,13 +249,22 @@ def _write_outputs(text: str, rows: list, out_path: Path, fmt: str) -> None:
             csv_path.write_text("")
 
 
-def _parse_n_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    if "," in text:
-        return [int(x) for x in text.split(",")]
-    return [int(text)]
+def _qubit_counts(text: str) -> list[int]:
+    """The qubit counts ``N``, ``N..M`` or ``N,M,...`` names; none is a usage error."""
+    lo, dots, hi = text.partition("..")
+    try:
+        counts = list(range(int(lo), int(hi) + 1)) if dots else [int(x) for x in text.split(",")]
+    except ValueError:
+        counts = []
+    if not counts:
+        raise argparse.ArgumentTypeError(f"{text!r} names no qubit count (use N, N..M or N,M,...)")
+    return counts
+
+
+def _sweep(text: str) -> str:
+    """``separation --n``: checked by ``_qubit_counts`` and kept as given, for ``config``."""
+    _qubit_counts(text)
+    return text
 
 
 def _run_identities(args) -> tuple[list, dict, bool]:
@@ -263,7 +274,7 @@ def _run_identities(args) -> tuple[list, dict, bool]:
     for trial in range(args.trials):
         n_a = int(rng_plan.integers(2, 7))
         rank = int(rng_plan.integers(1, 5))
-        n_b = max(1, int(np.ceil(np.log2(max(rank, 1)))))
+        n_b = _ancilla_for(rank, None)
         sample = _sample_state(n_a, rank, args.seed, trial)
         psi = purify(sample.rho, n_b)
         row = {"trial": trial, "nA": n_a, "rank": rank, "nB": n_b}
@@ -312,39 +323,23 @@ def _run_swap(args) -> tuple[list, dict, bool]:
     return results, summary, ok
 
 
-_SEPARATION_PAIRS = {
-    "purity": (EnsembleFamily.PURITY_S1, EnsembleFamily.PURITY_S2),
-    "cooling": (EnsembleFamily.VC_PCA_S1, EnsembleFamily.VC_PCA_S2),
-    "fisher": (EnsembleFamily.FISHER_S1, EnsembleFamily.FISHER_S2),
-}
-
-
 def _run_separation(args) -> tuple[list, dict, bool]:
     from .baselines import distinguish_experiment
 
-    fam_a, fam_b = _SEPARATION_PAIRS[args.task]
+    fam_a, fam_b = SEPARATION_PAIRS[args.task]
     results = []
-    purification_success = []
-    for n in _parse_n_range(args.n):
+    for n in _qubit_counts(args.n):
         for strategy in ("purification", "single_copy"):
-            row = {"n": n, "strategy": strategy, "budget": args.budget}
+            pair = (EnsembleSpec(fam_a, n), EnsembleSpec(fam_b, n))
+            outcome = distinguish_experiment(pair, strategy, args.budget, args.trials, args.seed)
+            row = outcome.to_json()
+            del row["trials"], row["statistic"]  # the config's --trials and --task
             if args.task == "purity":
                 trials = _fan_out(_rmse_trial, (fam_a.value, n, strategy, args.budget), args)
                 row["rmse"] = float(np.sqrt(np.mean(np.square([r["error"] for r in trials]))))
-            pair = (EnsembleSpec(fam_a, n), EnsembleSpec(fam_b, n))
-            outcome = distinguish_experiment(pair, strategy, args.budget, args.trials, args.seed)
-            row.update(
-                {
-                    "success": outcome.success,
-                    "ci_low": outcome.ci_low,
-                    "ci_high": outcome.ci_high,
-                    "threshold": outcome.threshold,
-                }
-            )
-            if strategy == "purification":
-                purification_success.append(outcome.success)
             results.append(row)
-    summary = {"min_purification_success": float(np.min(purification_success))}
+    success = [row["success"] for row in results if row["strategy"] == "purification"]
+    summary = {"min_purification_success": float(np.min(success))}
     return results, summary, summary["min_purification_success"] >= 0.95
 
 
@@ -373,17 +368,16 @@ def _run_crypto_blind(args) -> tuple[list, dict, bool]:
     transcript_path = Path(args.out).with_suffix(".transcript.jsonl")
     write_transcript(transcript_path, res.transcript)
     print(f"transcript -> {transcript_path}")
-    row = res.to_json()
-    ok = (
-        abs(res.client_estimate - res.truth) <= 0.05
-        and abs(res.keep_fraction - 0.5) <= 0.02
-        and abs(res.all_rounds_mean - res.all_rounds_truth) <= 0.05
-    )
     summary = {
         "client_error": abs(res.client_estimate - res.truth),
         "keep_fraction": res.keep_fraction,
     }
-    return [row], summary, ok
+    ok = (
+        summary["client_error"] <= 0.05
+        and abs(res.keep_fraction - 0.5) <= 0.02
+        and abs(res.all_rounds_mean - res.all_rounds_truth) <= 0.05
+    )
+    return [res.to_json()], summary, ok
 
 
 # Experiment name -> (runner(args) returning (result rows, summary metrics,
@@ -416,16 +410,19 @@ def _int_at_least(low: int) -> Callable[[str], int]:
     return integer
 
 
-# Flag name -> its add_argument keywords.
-_FLAGS: dict[str, dict] = {
-    "n": {"default": "4", "help": "qubit count (ranges like 2..8 for separation)"},
+# Flag name, or (subcommand, flag name) for a subcommand's own reading, -> add_argument keywords.
+_FLAGS: dict[str | tuple[str, str], dict] = {
+    "n": {"type": int, "default": 4, "help": "qubit count, one integer (only separation sweeps)"},
+    ("separation", "n"): {
+        "type": _sweep, "default": "4", "help": "qubit counts to sweep: N, N..M or N,M,..."
+    },
     "ancilla": {"type": int, "default": None, "help": "purification qubits"},
     "rank": {"type": int, "default": 2},
     "t": {"type": int, "default": 2, "help": "moment order"},
     "budget": {"type": int, "default": 20_000, "help": "total shots per trial"},
     "trials": {"type": _int_at_least(1), "default": 20},
     "rounds": {"type": int, "default": 10_000, "help": "crypto-blind rounds"},
-    "task": {"choices": sorted(_SEPARATION_PAIRS), "default": "purity"},
+    "task": {"choices": sorted(SEPARATION_PAIRS), "default": "purity"},
     "seed": {"type": _int_at_least(0), "default": None},
     "out": {"type": str, "default": None},
     "format": {"choices": ("json", "csv"), "default": "json"},
@@ -459,7 +456,7 @@ def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
         # error, not a prefix of one it has (--trials).
         p = sub.add_parser(name, allow_abbrev=False)
         for flag in (*EXPERIMENTS[name][1], *RUN_SETTINGS):
-            p.add_argument(f"--{flag}", **_FLAGS[flag])
+            p.add_argument(f"--{flag}", **_FLAGS.get((name, flag), _FLAGS[flag]))
     return parser
 
 
@@ -483,17 +480,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 64
 
     experiment = args.experiment
-    runner, flags = EXPERIMENTS[experiment]
-    if "n" in flags:
-        try:
-            n_values = _parse_n_range(args.n)
-        except ValueError:
-            n_values = []
-        if not n_values:
-            parser.error(f"--n {args.n!r} names no qubit count (use N, N..M or N,M,...)")
-        if experiment != "separation":
-            args.n = n_values[0]
-
+    runner = EXPERIMENTS[experiment][0]
     args.seed = _resolve_seed(parser, args.seed)
     args.out = args.out or f"{experiment}_seed{args.seed}.json"
 

@@ -128,7 +128,7 @@ class PureState:
                 f"amplitude length {amp.size} != 2**(nA+nB) = {2 ** (self.nA + self.nB)}"
             )
         norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:
             raise ValidationError(f"state norm {norm} deviates from 1 beyond {NORM_ATOL}")
         object.__setattr__(self, "amplitudes", _freeze(amp))
 
@@ -173,7 +173,7 @@ class DensityMatrix:
             raise ValidationError(f"matrix shape {m.shape} != ({d}, {d}) for n={self.n}")
         spectrum = eigh(m)
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_ATOL:
+        if not abs(tr - 1.0) <= TRACE_ATOL:
             raise ValidationError(f"trace {tr} deviates from 1 beyond {TRACE_ATOL}")
         lo = float(spectrum.eigenvalues[-1])
         if lo < -PSD_ATOL:
@@ -192,7 +192,7 @@ class DensityMatrix:
         if c.ndim != 2 or c.shape[0] != 2 ** n:
             raise ValidationError(f"columns shape {c.shape} needs {2 ** n} rows for n={n}")
         tr = float(np.vdot(c, c).real)
-        if abs(tr - 1.0) > TRACE_ATOL:
+        if not abs(tr - 1.0) <= TRACE_ATOL:
             raise ValidationError(f"trace {tr} deviates from 1 beyond {TRACE_ATOL}")
         q, r = np.linalg.qr(c)
         w, u = np.linalg.eigh(r @ r.conj().T)

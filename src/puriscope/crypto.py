@@ -262,8 +262,7 @@ def run_test_observable_audit(
     if per < 100:
         raise DomainError("too few rounds per observable (need >= 100)")
 
-    per_observable = []
-    audit_pass = True
+    rows = []
     for i, (obs, known) in enumerate(test_observables):
         result = run_blind_estimation(
             prep_unitary, obs, per, seed + 1000 + i, report_bias=report_bias
@@ -271,22 +270,18 @@ def run_test_observable_audit(
         kept = max(result.kept_rounds, 1)
         se = max(result.kept_std / math.sqrt(kept), 1e-6 * max(obs.spectral_norm, 1.0))
         z = abs(result.client_estimate - known) / se
-        ok = z <= AUDIT_Z_THRESHOLD
-        audit_pass = audit_pass and ok
-        per_observable.append(
-            {"kind": "test", "known": known, "estimate": result.client_estimate, "z": z, "pass": ok}
+        rows.append(
+            {"kind": "test", "known": known, "estimate": result.client_estimate, "z": z,
+             "pass": z <= AUDIT_Z_THRESHOLD}
         )
-    target_estimates = []
     for i, obs in enumerate(target_observables):
         result = run_blind_estimation(
             prep_unitary, obs, per, seed + 2000 + i, report_bias=report_bias
         )
-        target_estimates.append(
-            {"kind": "target", "estimate": result.client_estimate, "truth": result.truth}
-        )
+        rows.append({"kind": "target", "estimate": result.client_estimate, "truth": result.truth})
     return {
-        "audit_pass": bool(audit_pass),
-        "per_observable": per_observable + target_estimates,
+        "audit_pass": all(row["pass"] for row in rows if row["kind"] == "test"),
+        "per_observable": rows,
         "rounds_per_observable": per,
         "bias": report_bias,
     }

@@ -13,7 +13,7 @@ both components from the full ``2**n``-dimensional space).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Optional
 
@@ -66,6 +66,13 @@ class EnsembleFamily(str, Enum):
     RANDOM_RANK_R = "random_rank_r"
 
 
+# Statistic a hidden-label trial separates -> the (first, second) family of its pair.
+SEPARATION_PAIRS = {
+    "purity": (EnsembleFamily.PURITY_S1, EnsembleFamily.PURITY_S2),
+    "cooling": (EnsembleFamily.VC_PCA_S1, EnsembleFamily.VC_PCA_S2),
+    "fisher": (EnsembleFamily.FISHER_S1, EnsembleFamily.FISHER_S2),
+}
+
 _MIN_QUBITS = {
     EnsembleFamily.PURITY_S1: 1,
     EnsembleFamily.PURITY_S2: 1,
@@ -116,7 +123,7 @@ class EnsembleSpec:
             w = np.asarray(self.weights, dtype=float)
             if w.size != self.rank:
                 raise ValidationError(f"{w.size} weights for rank {self.rank}")
-            if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+            if np.any(w < 0) or not abs(w.sum() - 1.0) <= 1e-12:
                 raise ValidationError("weights must be nonnegative and sum to 1 within 1e-12")
             object.__setattr__(self, "weights", tuple(float(x) for x in w))
         elif self.rank is not None or self.weights is not None:
@@ -129,24 +136,15 @@ class EnsembleSpec:
         return _DECLARED_RANK[self.family]
 
     def to_json(self) -> dict:
-        return {
-            "family": self.family.value,
-            "n": self.n,
-            "rank": self.rank,
-            "weights": list(self.weights) if self.weights is not None else None,
-        }
+        weights = None if self.weights is None else list(self.weights)
+        return {**asdict(self), "family": self.family.value, "weights": weights}
 
     @staticmethod
     def from_json(obj: dict | str) -> "EnsembleSpec":
+        """The spec ``to_json`` wrote; ``__post_init__`` restores the family and weight types."""
         if isinstance(obj, str):
             obj = json.loads(obj)
-        weights = obj.get("weights")
-        return EnsembleSpec(
-            family=EnsembleFamily(obj["family"]),
-            n=int(obj["n"]),
-            rank=obj.get("rank"),
-            weights=tuple(weights) if weights is not None else None,
-        )
+        return EnsembleSpec(obj["family"], int(obj["n"]), obj.get("rank"), obj.get("weights"))
 
 
 @dataclass(frozen=True)

@@ -204,10 +204,11 @@ def _two_stage(
     the hypot of the propagated shot error and a bootstrap of stage 1,
     which re-evaluates the estimate on resampled spectra with exact
     stage-2 means; a value that is not finite raises
-    InsufficientDataError.  ``spectral`` and ``terms`` act on a leading
-    resample axis too.  Returns the report, the stage-1 spectrum and the
-    stage-2 means.  The caller fills in the report's truth afterwards,
-    from the A-side Schmidt factor of ``joint``.
+    InsufficientDataError.  ``spectral`` and ``terms`` get PSD-projected
+    spectra (eigenvalues >= 0, trace 1) and act on a leading resample axis
+    too.  Returns the report, the stage-1 spectrum and the stage-2 means.
+    The caller fills in the report's truth afterwards, from the A-side
+    Schmidt factor of ``joint``.
     """
     tomo = tomography(rho_b, budget.tomography_shots, child_rng(seed, 0))
     spec = tomo.estimate.spectral()
@@ -262,7 +263,7 @@ def estimate_moment(psi: PureState, t: int, budget: ShotBudget, seed: int) -> Es
         partial_trace(psi, "B"),
         budget,
         seed,
-        spectral=lambda w: np.sum(np.clip(w, 0.0, None) ** t, axis=-1),
+        spectral=lambda w: np.sum(w ** t, axis=-1),
     )[0]
     report.truth = float(np.sum(schmidt_decompose(psi).a_side.eigenvalues ** t))
     return report
@@ -290,7 +291,7 @@ def estimate_virtual_cooling(
         seed,
         joint=psi,
         observable=observable,
-        terms=lambda spec: [(1.0, spec.apply(lambda w: np.clip(w, 0.0, None) ** (t - 1)))],
+        terms=lambda spec: [(1.0, spec.apply(lambda w: w ** (t - 1)))],
     )[0]
     a_side = schmidt_decompose(psi).a_side
     report.truth = observable.expectation(a_side.eigenvectors, a_side.eigenvalues ** t)  # Tr(O rho_A^t)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 
@@ -24,12 +24,4 @@ class EstimatorReport:
         return abs(self.value - self.truth)
 
     def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "truth": self.truth,
-            "abs_error": self.abs_error,
-            "shots_used": dict(self.shots_used),
-            "stderr": self.stderr,
-            "seed": self.seed,
-            "extras": self.extras,
-        }
+        return {**asdict(self), "abs_error": self.abs_error}

@@ -198,3 +198,21 @@ class TestDistinguish:
         out = distinguish_experiment(pair, "single_copy", 1000, 20, seed=12)
         row = out.to_json()
         assert set(row) >= {"n", "strategy", "budget", "success", "ci_low", "ci_high"}
+
+    def test_json_row_names_the_statistic(self):
+        pair = (
+            EnsembleSpec(EnsembleFamily.PURITY_S1, 3),
+            EnsembleSpec(EnsembleFamily.PURITY_S2, 3),
+        )
+        out = distinguish_experiment(pair, "single_copy", 1000, 20, seed=12)
+        assert out.to_json() == {
+            "n": 3,
+            "strategy": "single_copy",
+            "budget": 1000,
+            "trials": 20,
+            "success": out.success,
+            "ci_low": out.ci_low,
+            "ci_high": out.ci_high,
+            "threshold": out.threshold,
+            "statistic": "purity",
+        }

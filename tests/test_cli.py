@@ -323,6 +323,40 @@ def test_every_offered_flag_is_read(tmp_path, monkeypatch, experiment):
     assert set(flags) <= reads
 
 
+class TestQubitCountFlag:
+    # Only separation sweeps qubit counts; everywhere else --n is one integer.
+    @pytest.mark.parametrize(
+        "experiment, n", [("qfi", "3..6"), ("moment", "2,3"), ("channel-pca", "1..2")]
+    )
+    def test_range_on_a_scalar_subcommand_exits_64(self, tmp_path, capsys, experiment, n):
+        out = tmp_path / "result.json"
+        with pytest.raises(SystemExit) as err:
+            main([experiment, "--n", n, "--trials", "1", "--jobs", "1", "--out", str(out)])
+        assert err.value.code == 64
+        assert "--n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n, swept", [("3", [3]), ("3..4", [3, 4]), ("3,4", [3, 4])])
+    def test_separation_records_the_text_given(self, tmp_path, n, swept):
+        rc, payload, _ = run_cli(
+            tmp_path, "separation", "--n", n, "--budget", "1600", "--trials", "2", "--seed", "1"
+        )
+        assert rc in (0, 3)
+        assert payload["config"]["n"] == n
+        assert [row["n"] for row in payload["results"]] == [m for m in swept for _ in range(2)]
+
+    @pytest.mark.parametrize(
+        "experiment",
+        [name for name, (_, flags) in cli.EXPERIMENTS.items() if "n" in flags and name != "separation"],
+    )
+    def test_scalar_config_n_is_an_int(self, tmp_path, experiment):
+        flags = cli.EXPERIMENTS[experiment][1]
+        argv = [x for flag in flags for x in (f"--{flag}", TINY_FLAGS[flag])]
+        rc, payload, _ = run_cli(tmp_path, experiment, *argv, "--seed", "1")
+        assert rc in (0, 3)
+        assert payload["config"]["n"] == 2 and type(payload["config"]["n"]) is int
+
+
 class TestNonFiniteResults:
     @pytest.mark.parametrize("value, stderr", [(math.nan, 0.1), (1.0, math.nan), (1.0, math.inf)])
     def test_row_refuses_non_finite(self, value, stderr):

@@ -5,9 +5,13 @@ from hypothesis import strategies as st
 
 from puriscope import (
     DensityMatrix,
+    EnsembleFamily,
+    EnsembleSpec,
     Observable,
     PureState,
+    QuantumChannel,
     SpectralDecomposition,
+    StinespringIsometry,
     eigh,
     matrix_power_trace,
     partial_trace,
@@ -800,3 +804,26 @@ class TestOneSpectralPath:
         reduced = partial_trace(rho, [0, 2]).matrix
         # dropping the columns below the tolerance would cost about 5e-10
         assert np.abs(reduced - _einsum_partial_trace(rho.matrix, 3, [0, 2])).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PureState([np.nan, 0], 1), "state norm"),
+        (
+            lambda: EnsembleSpec(EnsembleFamily.RANDOM_RANK_R, 2, rank=2, weights=(np.nan, np.nan)),
+            "weights must be nonnegative",
+        ),
+        (lambda: DensityMatrix.from_columns([[np.nan], [0]], 1), "trace"),
+        (lambda: QuantumChannel(([[np.nan, 0], [0, 1]],), 1), "not trace preserving"),
+        (
+            lambda: StinespringIsometry(np.eye(2), 0, [np.nan], (np.eye(2),), 1),
+            "weights must sum to 1",
+        ),
+    ],
+    ids=["PureState", "EnsembleSpec", "from_columns", "QuantumChannel", "StinespringIsometry"],
+)
+def test_tolerance_checks_refuse_nan(build, message):
+    # abs(x - 1) > tol is False for NaN; each check must fail NaN instead.
+    with pytest.raises(ValidationError, match=message):
+        build()

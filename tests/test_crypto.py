@@ -99,6 +99,25 @@ class TestBlindEstimation:
         entry = res.transcript[0].to_json()
         assert set(entry) == {"round", "client_action", "server_report", "client_side_data"}
 
+    def test_result_and_transcript_json(self):
+        u = haar_unitary(4, child_rng(116))
+        obs = Observable(pauli_on(2, 0, PAULI_Z))
+        res = run_blind_estimation(u, obs, 150, seed=9, record_transcript=True)
+        scalars = (
+            "client_estimate", "truth", "all_rounds_mean", "all_rounds_truth", "keep_fraction",
+            "rounds", "kept_rounds", "kept_std", "server_view_deviation",
+        )
+        assert res.to_json() == {name: getattr(res, name) for name in scalars}
+        assert res.to_json()["rounds"] == 150
+        last = res.transcript[-1]
+        assert last.to_json() == {
+            "round": 149,
+            "client_action": "transmit_state_and_measure_b",
+            "server_report": last.server_report,
+            "client_side_data": last.client_side_data,
+        }
+        assert last.server_report in (-1.0, 1.0) and last.client_side_data in (0, 1)
+
     def test_round_floor(self):
         obs = Observable(PAULI_Z)
         with pytest.raises(DomainError):

@@ -83,6 +83,14 @@ class TestEnsembleSpec:
         again = EnsembleSpec.from_json(blob)
         assert again == spec
 
+    def test_json_fields(self):
+        spec = EnsembleSpec(EnsembleFamily.RANDOM_RANK_R, 3, rank=2, weights=[0.7, 0.3])
+        assert spec.to_json() == {"family": "random_rank_r", "n": 3, "rank": 2, "weights": [0.7, 0.3]}
+        fixed = EnsembleSpec.from_json({"family": "purity_s1", "n": 3})
+        assert fixed.to_json() == {"family": "purity_s1", "n": 3, "rank": None, "weights": None}
+        assert type(fixed.to_json()["family"]) is str
+        assert EnsembleSpec.from_json(spec.to_json()).weights == (0.7, 0.3)
+
     def test_weight_validation(self):
         with pytest.raises(ValidationError):
             EnsembleSpec(EnsembleFamily.RANDOM_RANK_R, 2, rank=2, weights=(0.6, 0.3))

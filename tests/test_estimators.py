@@ -43,6 +43,7 @@ from puriscope.estimators import (
     flip_observables,
 )
 from puriscope.measurement import measure_observable_with_stderr, tomography
+from puriscope.reports import EstimatorReport
 
 BELL = PureState(np.array([1, 0, 0, 1]) / np.sqrt(2), 1, 1)
 
@@ -259,6 +260,22 @@ class TestEstimateQfi:
         assert abs(total - report.value) < 1e-12
         j, k, lam_j, lam_k, prefactor, _ = table["pairs"][0]
         assert abs(prefactor - (lam_j - lam_k) ** 2 / (lam_j * lam_k * (lam_j + lam_k))) < 1e-12
+
+    def test_report_json(self):
+        psi = purify(embedded_rank2(3, child_rng(73)), 1)
+        report = estimate_qfi(psi, Observable(pauli_on(3, 0, PAULI_X)), ShotBudget(20_000, 20_000), seed=12)
+        row = report.to_json()
+        assert row == {
+            "value": report.value,
+            "truth": report.truth,
+            "abs_error": abs(report.value - report.truth),
+            "shots_used": {"tomography": 20_000, "observable": 20_000},
+            "stderr": report.stderr,
+            "seed": 12,
+            "extras": report.extras,
+        }
+        assert row["shots_used"] is not report.shots_used
+        assert EstimatorReport(value=0.5).to_json()["abs_error"] is None
 
     def test_stderr_adds_stage1_error_to_shot_error(self):
         rng = child_rng(73)
