@@ -102,11 +102,14 @@ def measure_in_basis(
     array of the probabilities' shape whose entries sum to ``shots``.  A
     stacked basis splits the shots evenly over its settings, the first
     ``shots % settings`` settings taking one more, and draws every
-    setting with one multinomial call.
+    setting with one multinomial call.  The probabilities are snapped to
+    a 2^-40 grid and renormalised first, so a roundoff change of the
+    state leaves the draw (and every later draw of ``rng``) unchanged.
     """
     if shots < 1:
         raise DomainError("shots must be >= 1")
-    probs = born_probabilities(state, basis)
+    probs = np.round(born_probabilities(state, basis) * 2 ** 40)
+    probs /= probs.sum(axis=-1, keepdims=True)
     settings = probs.shape[:-1]
     per, extra = divmod(shots, math.prod(settings))
     shares = per + (np.arange(math.prod(settings)) < extra)
