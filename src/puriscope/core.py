@@ -270,7 +270,11 @@ class SpectralDecomposition:
 
 
 def _canonical(w: np.ndarray, v: np.ndarray) -> SpectralDecomposition:
-    """Eigenpairs (w, v) sorted descending, phase-fixed and tie-broken (see :func:`eigh`)."""
+    """Eigenpairs (w, v) sorted descending, phase-fixed and tie-broken (see :func:`eigh`).
+
+    The tie-break reorders whole pairs, so inside a tie block the eigenvalues
+    may run up to its tolerance out of descending order.
+    """
     order = np.argsort(-w, kind="stable")
     w = w[order]
     v = v[:, order]
@@ -290,7 +294,8 @@ def _canonical(w: np.ndarray, v: np.ndarray) -> SpectralDecomposition:
             block = v[:, start:stop]
             # numpy orders complex keys by (real, imag), so the keys v_0, v_1, ...
             # (lexsort's primary key is its last) compare re(v_0), im(v_0), re(v_1), ...
-            v[:, start:stop] = block[:, np.lexsort(np.round(block, 10)[::-1])]
+            perm = np.lexsort(np.round(block, 10)[::-1])
+            v[:, start:stop], w[start:stop] = block[:, perm], w[start:stop][perm]
         start = stop
     return SpectralDecomposition(w, v)
 

@@ -243,6 +243,14 @@ class TestEigh:
         np.testing.assert_array_equal(weights, [0.0])
 
 
+def test_tie_break_keeps_each_eigenvalue_with_its_vector():
+    m = np.diag([0.6, 0.4 - 1e-12, 1e-12, 0.0]).astype(complex)
+    spec = eigh(m)
+    w, v = spec.eigenvalues, spec.eigenvectors
+    assert np.linalg.norm(m @ v - v * w, axis=0).max() <= 1e-12
+    assert np.abs(m @ v - v * w).max() == 0.0  # a diagonal matrix's pairs are exact
+
+
 def test_support_readers_drop_an_eigenvalue_below_the_rank_tolerance():
     # eigenvalues 0.6, 0.4 and 1e-12 (below 1e-9 * 0.6) on |00>, |01>, |10>
     rho = DensityMatrix(np.diag([0.6, 0.4 - 1e-12, 1e-12, 0.0]).astype(complex), 2)
@@ -281,7 +289,8 @@ def _reference_eigh(matrix):
             stop += 1
         block = v[:, start:stop]
         keys = [tuple(np.round(np.column_stack([c.real, c.imag]).ravel(), 10)) for c in block.T]
-        v[:, start:stop] = block[:, sorted(range(stop - start), key=lambda j: keys[j])]
+        perm = sorted(range(stop - start), key=lambda j: keys[j])
+        v[:, start:stop], w[start:stop] = block[:, perm], w[start:stop][perm]
         start = stop
     return w, v
 
