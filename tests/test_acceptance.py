@@ -59,15 +59,12 @@ def _random_mixed(n, rank, rng, weights=None):
     return DensityMatrix((u[:, :rank] * w) @ u[:, :rank].conj().T, n)
 
 
-def _embedded_rank2(n, rng, weights=(0.6, 0.4), thin=False):
+def _embedded_rank2(n, rng, weights=(0.6, 0.4)):
     chi = rng.standard_normal(2 ** (n - 1)) + 1j * rng.standard_normal(2 ** (n - 1))
     chi /= np.linalg.norm(chi)
     e0 = np.kron(np.array([1.0, 0]), chi)
     e1 = np.kron(np.array([0, 1.0]), chi)
-    if thin:
-        return DensityMatrix.from_columns(np.column_stack([e0, e1]) * np.sqrt(weights), n)
-    m = weights[0] * np.outer(e0, e0.conj()) + weights[1] * np.outer(e1, e1.conj())
-    return DensityMatrix(m, n)
+    return DensityMatrix.from_columns(np.column_stack([e0, e1]) * np.sqrt(weights), n)
 
 
 class TestCriterion1Identities:
@@ -96,13 +93,13 @@ class TestCriterion2ConstantComplexity:
     BUDGET = 20_000
     TRIALS = 100
 
-    def _errors(self, estimator, n_values, thin):
+    def _errors(self, estimator, n_values):
         out = {}
         for n in n_values:
             errs = []
             for trial in range(self.TRIALS):
                 rng = child_rng(1100, n, trial)
-                rho = _embedded_rank2(n, rng, thin=thin)
+                rho = _embedded_rank2(n, rng)
                 psi = purify(rho, 1)
                 seed = int(child_rng(1101, n, trial).integers(2 ** 31))
                 errs.append(estimator(psi, n, seed))
@@ -116,7 +113,7 @@ class TestCriterion2ConstantComplexity:
         assert max(means.values()) <= 0.1, (label, means)
         return ratio
 
-    def _ratios(self, n_values, on_qubit0, thin=False):
+    def _ratios(self, n_values, on_qubit0):
         budget = ShotBudget.split(self.BUDGET)
 
         def moment(psi, n, seed):
@@ -139,7 +136,7 @@ class TestCriterion2ConstantComplexity:
             ("pca", pca),
             ("qfi", qfi),
         ]:
-            ratios[label] = self._check(label, self._errors(estimator, n_values, thin))
+            ratios[label] = self._check(label, self._errors(estimator, n_values))
         pretty = ", ".join(f"{k} x{v:.2f}" for k, v in ratios.items())
         _report(2, f"constant sample complexity, error ratios nA={max(n_values)}/nA={min(n_values)}: {pretty}")
 
@@ -147,10 +144,8 @@ class TestCriterion2ConstantComplexity:
         self._ratios((2, 8), lambda n, pauli: Observable(pauli_on(n, 0, pauli)))
 
     def test_constant_sample_complexity_to_na_14(self):
-        """The same check up to nA = 14, on column-built states and factor-built observables."""
-        self._ratios(
-            (2, 14), lambda n, pauli: Observable.from_factors([pauli] + [PAULI_I] * (n - 1)), thin=True
-        )
+        """The same check up to nA = 14, on factor-built observables."""
+        self._ratios((2, 14), lambda n, pauli: Observable.from_factors([pauli] + [PAULI_I] * (n - 1)))
 
 
 class TestCriterion3HardInstanceValues:
