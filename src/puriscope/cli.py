@@ -492,6 +492,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (np.linalg.LinAlgError, ZeroDivisionError) as exc:
         sys.stderr.write(f"numerical failure: {type(exc).__name__}: {exc}\n")
         return 2
+    except MemoryError as exc:
+        sys.stderr.write(f"resource failure (seed {args.seed}): {type(exc).__name__}: {exc}\n")
+        return 2
 
     config = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("experiment", "out")
@@ -512,7 +515,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.stderr.write(f"numerical failure (seed {args.seed}): {exc}\n")
         return 2
     out_path = Path(args.out)
-    _write_outputs(text, results, out_path, args.format)
+    try:
+        _write_outputs(text, results, out_path, args.format)
+    except OSError as exc:
+        sys.stderr.write(f"resource failure (seed {args.seed}): cannot write {out_path}: {exc}\n")
+        return 2
     print(f"{experiment}: {'pass' if ok else 'FAIL'} -> {out_path}")
     return 0 if ok else 3
 

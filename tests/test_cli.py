@@ -204,6 +204,24 @@ class TestCliContract:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_memory_error_exits_2(self, tmp_path, monkeypatch, capsys):
+        def out_of_memory(args):
+            raise MemoryError("Unable to allocate 16.0 PiB")
+
+        monkeypatch.setitem(cli.EXPERIMENTS, "qfi", (out_of_memory, cli.EXPERIMENTS["qfi"][1]))
+        out = tmp_path / "result.json"
+        assert main(["qfi", "--n", "3", "--trials", "1", "--seed", "5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "resource failure (seed 5): MemoryError: Unable to allocate 16.0 PiB\n"
+        assert not out.exists()
+
+    def test_unwritable_out_exits_2_naming_the_path(self, tmp_path, capsys):
+        rc = main(["moment", "--n", "2", "--trials", "1", "--seed", "5", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"resource failure (seed 5): cannot write {tmp_path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_determinism_modulo_timestamp(self, tmp_path):
         _, first, _ = run_cli(
             tmp_path, "cooling", "--n", "3", "--trials", "3", "--budget", "6000", "--seed", "21"
