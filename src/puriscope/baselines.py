@@ -74,7 +74,7 @@ def swap_test_moment(
     branch1 = tensor.transpose(cycle).reshape(dA, -1)
     # Control (x) first system copy, every other register traced out.
     columns = np.concatenate([branch0, branch1]) / math.sqrt(2)
-    reduced = DensityMatrix(columns @ columns.conj().T, 1 + psi.nA)
+    reduced = DensityMatrix.from_columns(columns, 1 + psi.nA)
 
     # Control in the X eigenbasis: |+> outcome +1, |-> outcome -1.
     counts = measure_in_basis(reduced, (HADAMARD, *observable.basis), shots, child_rng(seed, 0))

@@ -97,35 +97,36 @@ class QuantumChannel:
 class StinespringIsometry:
     """Canonical dilation V = sum_i sqrt(p_i) E_i (x) |i>_B.
 
-    The environment register B sits after the system register; a unitary
-    channel gets b = 0 with a dimension-1 identity ancilla so every code
-    path stays uniform.
+    Carried as the canonical Kraus form: descending weights p_i and
+    operators E_i with Tr(E_i^dag E_j) = d delta_ij.  ``matrix`` is V,
+    built once; the environment register B sits after the system register
+    and takes b = ceil(log2 r) qubits, so a unitary channel gets b = 0 with
+    a dimension-1 ancilla and every code path stays uniform.
     """
 
-    matrix: np.ndarray
-    b: int
     weights: np.ndarray
     canonical_kraus: tuple[np.ndarray, ...]
     n: int
 
     def __post_init__(self):
-        v = np.asarray(self.matrix, dtype=complex)
         d = 2 ** self.n
-        dB = 2 ** self.b
-        if v.shape != (d * dB, d):
-            raise ValidationError(f"isometry shape {v.shape} != ({d * dB}, {d})")
-        if not np.abs(v.conj().T @ v - np.eye(d)).max() <= ISOMETRY_ATOL:
-            raise ValidationError("V^dag V deviates from the identity beyond 1e-9")
         w = np.asarray(self.weights, dtype=float)
+        ops = tuple(np.asarray(k, dtype=complex) for k in self.canonical_kraus)
+        if w.ndim != 1 or len(ops) != w.size or any(k.shape != (d, d) for k in ops):
+            raise ValidationError(f"need one ({d}, {d}) canonical Kraus operator per weight")
         if not abs(w.sum() - 1.0) <= 1e-10:
             raise ValidationError("canonical weights must sum to 1 within 1e-10")
         if np.any(np.diff(w) > 1e-12):
             raise ValidationError("canonical weights must be in descending order")
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.canonical_kraus)
-        flat = np.array(ops).reshape(len(ops), d * d)
+        flat = np.array(ops).reshape(w.size, d * d)
         gram = flat.conj() @ flat.T  # Tr(K_i^dag K_j)
-        if not np.all(np.abs(gram - d * np.eye(len(ops))) <= KRAUS_ORTHO_ATOL * d):
+        if not np.all(np.abs(gram - d * np.eye(w.size)) <= KRAUS_ORTHO_ATOL * d):
             raise ValidationError("canonical Kraus operators are not orthonormal")
+        v = np.zeros((d, 2 ** (w.size - 1).bit_length(), d), dtype=complex)  # row (system, environment)
+        v[:, : w.size] = np.swapaxes(np.sqrt(w)[:, None, None] * flat.reshape(-1, d, d), 0, 1)
+        v = v.reshape(-1, d)
+        if not np.abs(v.conj().T @ v - np.eye(d)).max() <= ISOMETRY_ATOL:
+            raise ValidationError("V^dag V deviates from the identity beyond 1e-9")
         object.__setattr__(self, "matrix", v)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "canonical_kraus", ops)
@@ -135,21 +136,24 @@ class StinespringIsometry:
         return 2 ** self.n
 
     @property
+    def b(self) -> int:
+        return (self.weights.size - 1).bit_length()
+
+    @property
     def env_dim(self) -> int:
         return 2 ** self.b
 
     def output_state(self, rho_in: DensityMatrix) -> DensityMatrix:
-        """Joint system-environment state V rho V^dag on n + b qubits."""
+        """Joint system-environment state V rho V^dag on n + b qubits, from rho's support columns."""
         if rho_in.n != self.n:
             raise DomainError(f"input has {rho_in.n} qubits, channel expects {self.n}")
-        joint = self.matrix @ rho_in.matrix @ self.matrix.conj().T
-        return DensityMatrix(joint, self.n + self.b)
+        columns, weights = rho_in.spectral().support()
+        return DensityMatrix.from_columns(self.matrix @ (columns * np.sqrt(weights)), self.n + self.b)
 
     def env_state(self, rho_in: DensityMatrix) -> DensityMatrix:
         """Environment marginal Tr_A(V rho V^dag); dimension-1 state when b = 0."""
-        d, dB = self.dim, self.env_dim
-        joint = self.output_state(rho_in).matrix.reshape(d, dB, d, dB)
-        return DensityMatrix(np.einsum("abad->bd", joint), self.b)
+        joint = self.output_state(rho_in)
+        return partial_trace(joint, range(self.n, joint.n)) if self.b else DensityMatrix(np.ones((1, 1)), 0)
 
     def apply(self, rho_in: DensityMatrix) -> np.ndarray:
         """Channel action Tr_B(V rho V^dag) recovered from the dilation."""
@@ -181,17 +185,9 @@ def canonicalize(channel: QuantumChannel) -> StinespringIsometry:
     weights are renormalized and the ancilla takes ceil(log2 rank) qubits.
     """
     columns, weights = eigh(channel.choi()).support()
-    weights = weights / weights.sum()
-    r, d = weights.size, channel.dim
-    kraus = tuple(np.sqrt(d) * columns[:, i].reshape(d, d) for i in range(r))
-    b = (r - 1).bit_length()
-    dB = 2 ** b
-    v = np.zeros((d, dB, d), dtype=complex)  # row index (system, environment)
-    for i in range(r):
-        v[:, i, :] = np.sqrt(weights[i]) * kraus[i]
-    return StinespringIsometry(
-        matrix=v.reshape(d * dB, d), b=b, weights=weights, canonical_kraus=kraus, n=channel.n
-    )
+    d = channel.dim
+    kraus = tuple(np.sqrt(d) * columns[:, i].reshape(d, d) for i in range(weights.size))
+    return StinespringIsometry(weights / weights.sum(), kraus, channel.n)
 
 
 def _guard_env(iso: StinespringIsometry):

@@ -270,18 +270,15 @@ class SpectralDecomposition:
 
 
 def _canonical(w: np.ndarray, v: np.ndarray) -> SpectralDecomposition:
-    """Eigenpairs (w, v) sorted descending, phase-fixed and tie-broken (see :func:`eigh`).
-
-    The tie-break reorders whole pairs, so inside a tie block the eigenvalues
-    may run up to its tolerance out of descending order.
-    """
+    """Eigenpairs (w, v) sorted descending, phase-fixed and tie-broken (see :func:`eigh`)."""
     order = np.argsort(-w, kind="stable")
     w = w[order]
     v = v[:, order]
     v *= _column_phases(v)
 
     # Deterministic tie-break inside (near-)degenerate blocks: a block runs
-    # while eigenvalues stay within tie_tol of its first one.
+    # while eigenvalues stay within tie_tol of its first one, and each
+    # eigenvalue moves with its column, so a block may be out of order by tie_tol.
     scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
     tie_tol = 1e-12 * scale
     values = w.tolist()
@@ -307,9 +304,9 @@ def eigh(matrix: np.ndarray) -> SpectralDecomposition:
     matrix: :class:`DensityMatrix` and :class:`Observable` call it once,
     at construction, and keep the result.  Eigenvector phases are fixed
     (largest-magnitude entry real positive) and, inside a degenerate
-    block, columns are ordered lexicographically by their interleaved
-    (real, imag) coefficients rounded to 10 decimals, so the result is
-    deterministic given the input bytes.
+    block, eigenpairs are ordered lexicographically by their columns'
+    interleaved (real, imag) coefficients rounded to 10 decimals, so the
+    result is deterministic given the input bytes.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

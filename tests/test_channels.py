@@ -6,6 +6,7 @@ from puriscope import (
     Observable,
     QuantumChannel,
     ShotBudget,
+    StinespringIsometry,
     amplitude_damping_channel,
     canonicalize,
     channel_pca_estimate,
@@ -58,6 +59,45 @@ class TestQuantumChannel:
         again = QuantumChannel.from_json(blob, 1)
         for a, b in zip(ch.kraus, again.kraus):
             assert np.abs(a - b).max() < 1e-12
+
+
+class TestDilationContract:
+    def test_one_operator_per_weight(self):
+        # two weights but one operator: the oracle would read sum p_i^2 = 0.25 for the identity channel
+        with pytest.raises(ValidationError, match="one \\(2, 2\\) canonical Kraus operator per weight"):
+            StinespringIsometry(weights=[0.5, 0.5], canonical_kraus=(np.eye(2),), n=1)
+        with pytest.raises(ValidationError, match="per weight"):
+            StinespringIsometry(weights=[1.0], canonical_kraus=(np.eye(4),), n=1)
+
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            *(random_channel(n, rank, child_rng(170, n, rank)) for n in (1, 2) for rank in (1, 2, 3, 4)),
+            depolarizing_channel(0.2),
+            depolarizing_channel(1.0),
+            depolarizing_channel(0.3, 2),
+            amplitude_damping_channel(0.1),
+            amplitude_damping_channel(1.0),
+        ],
+    )
+    def test_register_and_isometry_follow_from_the_kraus_form(self, channel):
+        iso = canonicalize(channel)
+        d, r = channel.dim, iso.weights.size
+        b = int(np.ceil(np.log2(r)))
+        assert (iso.b, iso.env_dim) == (b, 2 ** b)
+        v = np.zeros((d, 2 ** b, d), dtype=complex)  # row (system, environment)
+        for i in range(r):
+            v[:, i, :] = np.sqrt(iso.weights[i]) * iso.canonical_kraus[i]
+        np.testing.assert_array_equal(iso.matrix, v.reshape(d * 2 ** b, d))
+        rebuilt = StinespringIsometry(iso.weights, iso.canonical_kraus, iso.n)
+        np.testing.assert_array_equal(rebuilt.matrix, iso.matrix)
+        # the joint state is V rho V^dag, and its environment marginal the diagonal weights
+        rho = DensityMatrix.from_columns(haar_unitary(d, child_rng(171))[:, :2] * np.sqrt([0.7, 0.3]), channel.n)
+        joint = iso.output_state(rho)
+        assert joint.n == channel.n + b
+        assert np.abs(joint.matrix - iso.matrix @ rho.matrix @ iso.matrix.conj().T).max() < 1e-12
+        mixed = iso.env_state(maximally_mixed(channel.n)).matrix
+        assert np.abs(mixed - np.diag(np.pad(iso.weights, (0, 2 ** b - r)))).max() < 1e-12
 
 
 class TestCanonicalize:

@@ -826,7 +826,7 @@ class TestOneSpectralPath:
         (lambda: DensityMatrix.from_columns([[np.nan], [0]], 1), "trace"),
         (lambda: QuantumChannel(([[np.nan, 0], [0, 1]],), 1), "not trace preserving"),
         (
-            lambda: StinespringIsometry(np.eye(2), 0, [np.nan], (np.eye(2),), 1),
+            lambda: StinespringIsometry([np.nan], (np.eye(2),), 1),
             "weights must sum to 1",
         ),
     ],
