@@ -10,7 +10,7 @@ Conventions used throughout the package:
 * Every state is read through its canonical spectrum (see :func:`eigh`):
   ``DensityMatrix(matrix, n)`` diagonalises a dense matrix once, at
   construction; ``DensityMatrix.from_columns(C, n)`` builds C C^dag from
-  d x k columns with a thin QR and a k x k eigh, and forms ``matrix``
+  d x k columns with a thin QR and a min(d, k)-square eigh, and forms ``matrix``
   only on first access; ``PureState.spectral()`` is the rank-1 spectrum.
   Partial traces and measurements take one path over spectral columns.
 * An :class:`Observable` is carried as its eigenbasis: a tuple of basis
@@ -183,10 +183,11 @@ class DensityMatrix:
 
     @classmethod
     def from_columns(cls, columns: np.ndarray, n: int) -> "DensityMatrix":
-        """rho = C C^dag for a d x k block of columns C, in O(d k^2).
+        """rho = C C^dag for a d x k block of columns C, in O(d k min(d, k)).
 
         With the thin QR C = Q R and R R^dag = U diag(w) U^dag, the
         eigenpairs are (w, Q U), put in the canonical form of :func:`eigh`.
+        With more columns than rows the QR saves nothing, and Q = I, R = C.
         """
         c = np.asarray(columns, dtype=complex)
         if c.ndim != 2 or c.shape[0] != 2 ** n:
@@ -194,7 +195,7 @@ class DensityMatrix:
         tr = float(np.vdot(c, c).real)
         if not abs(tr - 1.0) <= TRACE_ATOL:
             raise ValidationError(f"trace {tr} deviates from 1 beyond {TRACE_ATOL}")
-        q, r = np.linalg.qr(c)
+        q, r = np.linalg.qr(c) if c.shape[1] <= c.shape[0] else (np.eye(c.shape[0]), c)
         w, u = np.linalg.eigh(r @ r.conj().T)
         return cls.from_spectrum(_canonical(w, q @ u), n)
 
