@@ -153,7 +153,9 @@ class StinespringIsometry:
     def env_state(self, rho_in: DensityMatrix) -> DensityMatrix:
         """Environment marginal Tr_A(V rho V^dag); dimension-1 state when b = 0."""
         joint = self.output_state(rho_in)
-        return partial_trace(joint, range(self.n, joint.n)) if self.b else DensityMatrix(np.ones((1, 1)), 0)
+        if self.b == 0:
+            return DensityMatrix(np.ones((1, 1)), 0)
+        return partial_trace(joint, range(self.n, joint.n))
 
     def apply(self, rho_in: DensityMatrix) -> np.ndarray:
         """Channel action Tr_B(V rho V^dag) recovered from the dilation."""

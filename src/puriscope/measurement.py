@@ -103,8 +103,8 @@ def measure_in_basis(
     stacked basis splits the shots evenly over its settings, the first
     ``shots % settings`` settings taking one more, and draws every
     setting with one multinomial call.  The probabilities are snapped to
-    a 2^-40 grid and renormalised first, so a roundoff change of the
-    state leaves the draw (and every later draw of ``rng``) unchanged.
+    a 2^-40 grid and renormalised first, so where they sit on the grid
+    (the hard instances) a roundoff change of the state moves no count.
     """
     if shots < 1:
         raise DomainError("shots must be >= 1")

@@ -63,7 +63,7 @@ class TestQuantumChannel:
 
 class TestDilationContract:
     def test_one_operator_per_weight(self):
-        # two weights but one operator: the oracle would read sum p_i^2 = 0.25 for the identity channel
+        # two weights but one operator: its Kraus oracle read Tr(Z rho) as 0.25 where the channel gives 1
         with pytest.raises(ValidationError, match="one \\(2, 2\\) canonical Kraus operator per weight"):
             StinespringIsometry(weights=[0.5, 0.5], canonical_kraus=(np.eye(2),), n=1)
         with pytest.raises(ValidationError, match="per weight"):
