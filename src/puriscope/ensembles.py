@@ -191,6 +191,10 @@ def sample_ensemble(
     fam = spec.family
     n = spec.n
     dim = 2 ** n
+    # numpy refuses an array past the address space with a ValueError; no
+    # memory can hold such a state, so report the allocation failure it is.
+    if dim * spec.declared_rank * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
+        raise MemoryError(f"{spec.declared_rank} columns of 2**{n} amplitudes exceed the address space")
 
     if fam in (EnsembleFamily.PURITY_S1, EnsembleFamily.PURITY_S2):
         u = _haar_vector(dim, rng)

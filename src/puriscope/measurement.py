@@ -26,11 +26,11 @@ from .errors import DimensionError, DomainError, GuardError, InsufficientDataErr
 
 TOMOGRAPHY_GUARD = 64  # largest dimension tomography reconstructs
 _BOOTSTRAP_RESAMPLES = 200  # multinomial resamples per bootstrap_stderr call
-# Randomized measurements draw Ginibre frames, and then their outcomes,
-# _FRAME_CHUNK entries (4 MiB) at a time, enough for one draw at rank 2, n <= 8
-# and 4e3 shots, and run QR on _QR_BLOCK entries at a time.
+# Randomized measurements hold one chunk of _FRAME_CHUNK Ginibre frame entries
+# at a time, as their real parts (2 MiB) and outcome probabilities, and one QR
+# block of _QR_BLOCK entries (256 KiB complex) with its outcome counts.
 _FRAME_CHUNK = 2 ** 18
-_QR_BLOCK = 2 ** 16
+_QR_BLOCK = 2 ** 14
 
 # Eigenbases of X, Y and Z (columns), stacked: one qubit's tomography settings.
 _PAULI_BASES = np.array(
@@ -275,10 +275,13 @@ def _rm_purity_estimates(
     Rotating the measurement basis by Haar U is distributionally the same
     as rotating the state's support frame, so a d x r Ginibre QR per
     setting replaces the full d x d unitary; the QR columns are the first
-    r columns of a Haar unitary at any rank r <= d.  The frames are drawn
-    ``_FRAME_CHUNK`` entries at a time, each draw followed by its
-    outcomes, and factored ``_QR_BLOCK`` entries at a time, so memory
-    stays bounded at any rank and budget.
+    r columns of a Haar unitary at any rank r <= d.  A chunk of
+    ``_FRAME_CHUNK`` entries draws its frames' real parts, and each QR
+    block of ``_QR_BLOCK`` entries its imaginary parts; after the chunk's
+    last block its outcomes are drawn block by block, each reduced to its
+    collision counts at once.  The draws consume the generator exactly as
+    whole-chunk draws would, and memory stays bounded at any rank and
+    budget.
     """
     if unitaries < 2:
         raise DomainError("need at least 2 random unitaries")
@@ -292,17 +295,21 @@ def _rm_purity_estimates(
     per_draw = max(1, _FRAME_CHUNK // (d * r))
     per_qr = max(1, _QR_BLOCK // (d * r))
     collisions = np.empty(unitaries)
-    frames = np.empty((min(per_draw, unitaries), d, r), dtype=complex)
+    frames = np.empty((min(per_qr, unitaries), d, r), dtype=complex)
     for start in range(0, unitaries, per_draw):
-        z = frames[: unitaries - start]
-        z.real = rng.standard_normal(z.shape)
-        z.imag = rng.standard_normal(z.shape)
-        probs = np.empty((len(z), d))
-        for block in range(0, len(z), per_qr):
-            q, _ = np.linalg.qr(z[block:block + per_qr])
-            probs[block:block + len(q)] = np.abs(q) ** 2 @ weights
-        counts = rng.multinomial(m, probs / probs.sum(axis=1, keepdims=True))
-        collisions[start:start + len(z)] = ((counts * counts).sum(axis=1) - m) / (m * (m - 1))
+        real = rng.standard_normal((min(per_draw, unitaries - start), d, r))
+        probs = np.empty((len(real), d))
+        for block in range(0, len(real), per_qr):
+            z = frames[: len(real) - block]
+            z.real = real[block:block + len(z)]
+            z.imag = rng.standard_normal(z.shape)
+            q, _ = np.linalg.qr(z)
+            probs[block:block + len(z)] = np.abs(q) ** 2 @ weights
+        probs /= probs.sum(axis=1, keepdims=True)
+        for block in range(0, len(probs), per_qr):
+            counts = rng.multinomial(m, probs[block:block + per_qr])
+            pairs = np.einsum("ij,ij->i", counts, counts) - m
+            collisions[start + block:start + block + len(counts)] = pairs / (m * (m - 1))
     return (d + 1) * collisions - 1.0
 
 

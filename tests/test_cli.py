@@ -215,6 +215,17 @@ class TestCliContract:
         assert err == "resource failure (seed 5): MemoryError: Unable to allocate 16.0 PiB\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment, n", [("qfi", 62), ("moment", 70)])
+    def test_state_past_the_address_space_exits_2(self, tmp_path, capsys, experiment, n):
+        # numpy refuses such a draw with a ValueError before allocating;
+        # it reads as the same resource failure as a failed allocation.
+        out = tmp_path / "result.json"
+        argv = [experiment, "--n", str(n), "--trials", "1", "--seed", "5", "--jobs", "1"]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"resource failure (seed 5): MemoryError: 2 columns of 2**{n} amplitudes exceed the address space\n"
+        assert not out.exists()
+
     def test_unwritable_out_exits_2_naming_the_path(self, tmp_path, capsys):
         rc = main(["moment", "--n", "2", "--trials", "1", "--seed", "5", "--out", str(tmp_path)])
         assert rc == 2

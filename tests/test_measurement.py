@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import tracemalloc
 
@@ -14,6 +15,7 @@ from puriscope import (
     measure_in_basis,
     measure_observable,
     randomized_measurement_purity,
+    single_copy_purity_attack,
     tomography,
     trace_norm,
 )
@@ -27,6 +29,7 @@ from puriscope.errors import (
 from puriscope import measurement
 from puriscope.measurement import (
     _PAULI_BASES,
+    _rm_purity_estimates,
     _shadow_inverse,
     born_probabilities,
     bootstrap_stderr,
@@ -377,6 +380,43 @@ class TestRandomizedMeasurementPurity:
                 tracemalloc.stop()
             assert peak < 64e6, (n, peak / 1e6)
             assert abs(value - 1 / d) < 0.3
+
+    @staticmethod
+    def rank2_state(seed):
+        u = haar_unitary(64, child_rng(seed))
+        return DensityMatrix.from_columns(u[:, :2] * np.sqrt([0.7, 0.3]), 6)
+
+    @pytest.mark.parametrize(
+        "case, digest",
+        [
+            ("rank-2", "8dd778e4f7bc4fed2d7394f7fb087352f3cb92cdb3b80b9c007b3cf20fe5e157"),
+            ("full-rank", "3a3a6647fa2eeb7a8eeabb238ee9ca2f56c818cca3554de4665ca0e73f875729"),
+        ],
+    )
+    def test_estimates_pinned(self, case, digest):
+        # The exact per-unitary estimates: the single-copy server's shape
+        # (n = 6, rank 2, 1250 unitaries of 8 shots) and a full-rank call
+        # drawn in 8 frame chunks.  Any change to how the sampler consumes
+        # the generator moves these bytes.
+        if case == "rank-2":
+            estimates = _rm_purity_estimates(self.rank2_state(40), 1250, 8, child_rng(41))
+        else:
+            estimates = _rm_purity_estimates(DensityMatrix(np.eye(64) / 64, 6), 500, 8, child_rng(42))
+        assert hashlib.sha256(estimates.tobytes()).hexdigest() == digest
+
+    def test_memory_bounded_at_the_server_shape(self):
+        # The single-copy server's attack (rank 2, n = 6, budget 1e4) held a
+        # whole chunk of complex frames and its count tables: 6.2 MiB traced.
+        # Streaming the chunk block by block holds about 2.9 MiB.
+        rho = self.rank2_state(43)
+        rho.purity()
+        tracemalloc.start()
+        try:
+            single_copy_purity_attack(rho, 10_000, 44)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20, peak / 2 ** 20
 
 
 class TestBootstrap:

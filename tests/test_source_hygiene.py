@@ -19,7 +19,7 @@ def _referenced_names(tree: ast.Module) -> set[str]:
     """Every name the module reads, including names inside string annotations."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         annotations = []
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -40,3 +40,28 @@ def test_every_module_level_import_is_used(path):
     imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
     bound = {name for node in imports for name in _bound_names(node)}
     assert sorted(bound - _referenced_names(tree)) == []
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """Module-level private names a module defines: ``_function``, ``_Class``, ``_CONSTANT``."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def test_every_module_level_private_name_is_read_in_src():
+    # A private helper, class or constant that no module of the package
+    # reads is dead code; tests and the benchmark do not count as readers.
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        read |= _referenced_names(tree)
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        read |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unread = sorted(f"{module}:{name}" for module, tree in trees.items() for name in _private_definitions(tree) - read)
+    assert unread == []
