@@ -27,7 +27,7 @@ from .ensembles import (
 )
 from .errors import DomainError, GuardError
 from .estimators import estimate_moment, estimate_qfi, estimate_virtual_cooling, qfi_oracle
-from .measurement import ShotBudget, _rm_purity_estimates, measure_in_basis, tomography
+from .measurement import ShotBudget, _mean_stderr, _rm_purity_estimates, measure_in_basis, tomography
 from .reports import EstimatorReport
 
 SWAP_REGISTER_GUARD = 13  # joint register dimension 2 * 2**(t n) <= 2**13
@@ -78,14 +78,9 @@ def swap_test_moment(
 
     # Control in the X eigenbasis: |+> outcome +1, |-> outcome -1.
     counts = measure_in_basis(reduced, (HADAMARD, *observable.basis), shots, child_rng(seed, 0))
-    counts = counts.reshape(2, dA)
-
-    x_signs = np.array([1.0, -1.0])
-    xo_values = np.outer(x_signs, observable.eigenvalues)
-    value = float(np.sum(counts * xo_values) / shots)
-    second = float(np.sum(counts * xo_values ** 2) / shots)
-    stderr = float(np.sqrt(max(second - value ** 2, 0.0) / shots))
-    x_mean = float(np.sum(counts * x_signs[:, None]) / shots)
+    x_signs = np.repeat([1.0, -1.0], dA)
+    value, stderr = _mean_stderr(counts, x_signs * np.tile(observable.eigenvalues, 2))
+    x_mean = _mean_stderr(counts, x_signs)[0]
 
     columns, weights = rho.spectral().support()
     truth = observable.expectation(columns, weights ** t)

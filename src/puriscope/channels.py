@@ -25,6 +25,7 @@ from .core import (
     kron_all,
     partial_trace,
 )
+from .ensembles import _ginibre
 from .errors import DomainError, GapError, GuardError, ValidationError
 from .estimators import DEFAULT_MIN_GAP, _guard_observable, _principal, _two_stage
 from .measurement import ShotBudget
@@ -298,8 +299,7 @@ def random_channel(n: int, choi_rank: int, rng: np.random.Generator) -> QuantumC
     d = 2 ** n
     if not 1 <= choi_rank <= d * d:
         raise DomainError(f"choi rank {choi_rank} outside [1, {d * d}]")
-    z = rng.standard_normal((d * choi_rank, d)) + 1j * rng.standard_normal((d * choi_rank, d))
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(_ginibre((d * choi_rank, d), rng))
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
     kraus = tuple(q[e * d:(e + 1) * d, :] for e in range(choi_rank))
     return QuantumChannel(kraus, n)

@@ -13,6 +13,7 @@ both components from the full ``2**n``-dimensional space).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Optional
@@ -31,18 +32,31 @@ def child_rng(master_seed: int, *index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=index))
 
 
+def _ginibre(shape: tuple, rng: np.random.Generator) -> np.ndarray:
+    """Complex Gaussian entries with N(0, 1) real and imaginary parts, real parts drawn first.
+
+    numpy refuses a draw past the address space with a ValueError; no memory
+    could hold it, so it raises the MemoryError of a failed allocation.
+    """
+    if math.prod(shape) * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
+        size = f"2**{shape[0].bit_length() - 1}" if shape[0] & (shape[0] - 1) == 0 else shape[0]
+        what = f"{shape[1]} columns of {size}" if len(shape) == 2 else size
+        raise MemoryError(f"{what} amplitudes exceed the address space")
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary via QR of a Ginibre matrix with phase-fixed R."""
     if dim < 1:
         raise DomainError(f"dimension {dim} must be >= 1")
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+    z = _ginibre((dim, dim), rng) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
 
 def _haar_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    z = _ginibre((dim,), rng)
     return z / np.linalg.norm(z)
 
 
@@ -191,10 +205,6 @@ def sample_ensemble(
     fam = spec.family
     n = spec.n
     dim = 2 ** n
-    # numpy refuses an array past the address space with a ValueError; no
-    # memory can hold such a state, so report the allocation failure it is.
-    if dim * spec.declared_rank * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
-        raise MemoryError(f"{spec.declared_rank} columns of 2**{n} amplitudes exceed the address space")
 
     if fam in (EnsembleFamily.PURITY_S1, EnsembleFamily.PURITY_S2):
         u = _haar_vector(dim, rng)
@@ -254,8 +264,7 @@ def sample_ensemble(
 
     else:  # RANDOM_RANK_R
         r = spec.rank
-        z = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
-        q, rr = np.linalg.qr(z)
+        q, rr = np.linalg.qr(_ginibre((dim, r), rng))
         q = q * (np.diagonal(rr) / np.abs(np.diagonal(rr)))
         weights = np.asarray(spec.weights, dtype=float)
         parts = [(float(w), q[:, i]) for i, w in enumerate(weights)]

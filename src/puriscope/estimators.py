@@ -196,10 +196,10 @@ def _two_stage(
     """The protocol shared by every purification and dilation estimator.
 
     Stage 1 tomographs the small register ``rho_b``.  ``terms`` maps its
-    spectrum to (coefficient, g) pairs, and stage 2 measures O (x) g on
-    ``joint`` for each, with an even share of the observable shots, in the
-    product eigenbasis U_O (x) U_g (O's basis factors are kept on the
-    observable, so a per-qubit O rotates one qubit at a time).  The estimate is
+    spectrum to (coefficient, g) pairs, and stage 2 measures every O (x) g on
+    ``joint`` in one stacked draw, the observable shots split evenly over the
+    terms, each in its product eigenbasis U_O (x) U_g (a per-qubit O keeps
+    its basis factors and rotates one qubit at a time).  The estimate is
     spectral(w) + sum_i coefficient_i * mean_i ** power.  Its stderr is
     the hypot of the propagated shot error and a bootstrap of stage 1,
     which re-evaluates the estimate on resampled spectra with exact
@@ -224,12 +224,13 @@ def _two_stage(
                 f"{budget.observable_shots} observable shots cannot cover "
                 f"{len(measured)} measurements"
             )
-        rng = child_rng(seed, 1)
-        for coefficient, g in measured:
-            mean, se = measure_observable_with_stderr(joint, (observable, g), shots_each, rng)
-            means.append(mean)
+        means, ses, drawn = measure_observable_with_stderr(
+            joint, (observable, [g for _, g in measured]), shots_each * len(measured), child_rng(seed, 1)
+        )
+        # a sequential sum: np.sum would reorder eight or more terms
+        for (coefficient, _), mean, se in zip(measured, means, ses):
             shot_var += (power * coefficient * mean ** (power - 1) * se) ** 2
-        shots_used["observable"] = shots_each * len(measured)
+        shots_used["observable"] = sum(drawn)
         weights = _expectation_weights(joint, observable)
 
     def estimate(w: np.ndarray, coefficients: list, values: list) -> np.ndarray:
@@ -383,15 +384,18 @@ def qfi_oracle(
     """
     if mode not in ("full", "support_only"):
         raise DomainError(f"unknown mode {mode!r}")
+    return _qfi_oracles(rho, observable)[mode == "full"]
+
+
+def _qfi_oracles(rho: DensityMatrix | SpectralDecomposition, observable: Observable) -> tuple[float, float]:
+    """Both :func:`qfi_oracle` modes, (support_only, full), from one ``O @ v``."""
     v, lam = (rho if isinstance(rho, SpectralDecomposition) else rho.spectral()).support()
     o_v = observable @ v
     overlap = np.abs(v.conj().T @ o_v) ** 2  # |O_jk|^2 on S x S
     ratio = (lam[:, None] - lam[None, :]) ** 2 / (lam[:, None] + lam[None, :])
     total = 2.0 * np.sum(ratio * overlap)
-    if mode == "full":
-        leftover = np.sum(np.abs(o_v) ** 2, axis=0) - np.sum(overlap, axis=0)
-        total += 4.0 * np.sum(lam * leftover)
-    return float(total)
+    leftover = np.sum(np.abs(o_v) ** 2, axis=0) - np.sum(overlap, axis=0)
+    return float(total), float(total + 4.0 * np.sum(lam * leftover))
 
 
 def estimate_qfi(
@@ -446,8 +450,7 @@ def estimate_qfi(
     report, spec, means = _two_stage(
         rho_b, budget, seed, joint=psi, observable=observable, terms=flips, power=2
     )
-    a_side = schmidt_decompose(psi).a_side
-    report.truth = qfi_oracle(a_side, observable, "support_only")
+    report.truth, full = _qfi_oracles(schmidt_decompose(psi).a_side, observable)
     lam = spec.eigenvalues
     rows = []
     for (j, k), m_plus, m_minus in zip(pairs, means[0::2], means[1::2]):
@@ -455,7 +458,7 @@ def estimate_qfi(
         factor = 0.5 * (m_plus ** 2 + m_minus ** 2)
         rows.append([j, k, float(lam[j]), float(lam[k]), prefactor, factor])
     report.extras = {
-        "full_qfi_oracle": qfi_oracle(a_side, observable, "full"),
+        "full_qfi_oracle": full,
         "support_rank": r,
         "term_table": {"pairs": rows},
     }

@@ -21,6 +21,7 @@ from .core import (
     SpectralDecomposition,
     StateLike,
     eigh,
+    kron_all,
 )
 from .errors import DimensionError, DomainError, GuardError, InsufficientDataError, ValidationError
 
@@ -126,33 +127,50 @@ def measure_observable(
     return measure_observable_with_stderr(state, observable, shots, rng)[0]
 
 
+def _mean_stderr(counts: np.ndarray, values: np.ndarray) -> tuple[float, float]:
+    """Mean of per-outcome ``values`` over an outcome histogram, and its standard error."""
+    shots = counts.sum()
+    mean = float(counts @ values / shots)
+    var = max(float(counts @ (values ** 2) / shots) - mean ** 2, 0.0)
+    return mean, float(np.sqrt(var / shots))
+
+
 def measure_observable_with_stderr(
     state: StateLike,
     observable: Union[Observable, np.ndarray, tuple],
     shots: int,
     rng: np.random.Generator,
-) -> tuple[float, float]:
+) -> Union[tuple[float, float], tuple[list[float], list[float], list[int]]]:
     """Mean and standard error of the shot-sampled observable estimate.
 
     A tuple of factor observables measures their tensor product (leftmost
     factor most significant) in the product of their eigenbases, expanded
     into every factor's basis factors, so a per-qubit observable rotates
     one qubit at a time; each outcome's value is the product of the
-    factors' eigenvalues.
+    factors' eigenvalues.  The tuple's last factor may be a list of K
+    observables of one dimension: one stacked draw measures each in its
+    own eigenbasis, the shots split evenly over them as in
+    :func:`measure_in_basis`, and the call returns the K means, standard
+    errors and shot counts as three lists.
     """
-    factors = observable if isinstance(observable, tuple) else (observable,)
-    factors = [f if isinstance(f, Observable) else Observable(f) for f in factors]
-    dim = math.prod(f.dim for f in factors)
-    if dim != state.dim:
-        raise DimensionError(f"observable dimension {dim} != state dimension {state.dim}")
-    if shots < 1:
-        raise DomainError("shots must be >= 1")
-    values = functools.reduce(np.multiply.outer, [f.eigenvalues for f in factors]).ravel()
-    counts = measure_in_basis(state, tuple(b for f in factors for b in f.basis), shots, rng)
-    mean = float(counts @ values / shots)
-    second = float(counts @ (values ** 2) / shots)
-    var = max(second - mean ** 2, 0.0)
-    return mean, float(np.sqrt(var / shots))
+    *head, last = observable if isinstance(observable, tuple) else (observable,)
+    stacked = isinstance(last, (list, tuple))
+    factors = [
+        f if isinstance(f, Observable) else Observable(f) for f in (*head, *(last if stacked else [last]))
+    ]
+    head, members = factors[:len(head)], factors[len(head):]
+    if len({g.dim for g in members}) != 1:
+        raise DimensionError(f"stacked observables need one dimension, got {[g.dim for g in members]}")
+    # The stack is the last factor, so the head rotates the state as an
+    # unstacked call does; measure_in_basis checks the shots and dimension.
+    tail = (np.stack([kron_all(*g.basis) for g in members]),) if stacked else members[0].basis
+    counts = measure_in_basis(state, (*(b for f in head for b in f.basis), *tail), shots, rng)
+    counts = counts.reshape(len(members), -1)
+    means, stderrs = zip(*(
+        _mean_stderr(c, functools.reduce(np.multiply.outer, [f.eigenvalues for f in (*head, g)]).ravel())
+        for c, g in zip(counts, members)
+    ))
+    return (list(means), list(stderrs), counts.sum(axis=1).tolist()) if stacked else (means[0], stderrs[0])
 
 
 @dataclass(frozen=True)

@@ -226,6 +226,26 @@ class TestCliContract:
         assert err == f"resource failure (seed 5): MemoryError: 2 columns of 2**{n} amplitudes exceed the address space\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["crypto-verify", "--n", "62", "--trials", "1"],
+            ["crypto-blind", "--n", "62"],
+            ["channel-unitarity", "--n", "40", "--trials", "1", "--jobs", "1"],
+            ["channel-pca", "--n", "62", "--trials", "1", "--jobs", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_draw_past_the_address_space_exits_2(self, tmp_path, capsys, argv):
+        # a Haar vector, a Haar unitary and a random channel's frame are
+        # sized by the one check that sample_ensemble's draws go through
+        out = tmp_path / "result.json"
+        assert main(argv + ["--seed", "5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("resource failure (seed 5): MemoryError: ")
+        assert err.endswith(" amplitudes exceed the address space\n") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_unwritable_out_exits_2_naming_the_path(self, tmp_path, capsys):
         rc = main(["moment", "--n", "2", "--trials", "1", "--seed", "5", "--out", str(tmp_path)])
         assert rc == 2

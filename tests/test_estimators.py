@@ -42,6 +42,7 @@ from puriscope.estimators import (
     eigenstate_factor_incoherent,
     flip_observables,
 )
+from puriscope import estimators, measurement
 from puriscope.measurement import measure_observable_with_stderr, tomography
 from puriscope.reports import EstimatorReport
 
@@ -386,6 +387,71 @@ class TestProductStageTwo:
                 first = measure_observable_with_stderr(psi, (obs, g), 500, child_rng(132, trial))
                 second = measure_observable_with_stderr(psi, (obs, nudged), 500, child_rng(132, trial))
                 assert abs(first[0] - second[0]) < 1e-12
+
+
+def rank3_purification(nA=3, nB=2, seed=133):
+    spec = EnsembleSpec(EnsembleFamily.RANDOM_RANK_R, nA, rank=3, weights=(0.5, 0.3, 0.2))
+    return purify(sample_ensemble(spec, child_rng(seed)).rho, nB)
+
+
+def stage_two_estimate(kind, psi, budget, seed):
+    """A K = 6 estimate (rank-3 QFI), a K = 2 one (rank-2 QFI) or a K = 1 one (t = 3 cooling)."""
+    obs = Observable.from_factors([PAULI_X] + [PAULI_I] * (psi.nA - 1))
+    if kind == "qfi":
+        return estimate_qfi(psi, obs, budget, seed)
+    return estimate_virtual_cooling(psi, obs, 3, budget, seed)
+
+
+class TestStackedStageTwo:
+    @pytest.mark.parametrize("kind, terms", [("qfi", 6), ("cooling", 1)])
+    def test_terms_replay_a_sequential_per_term_loop(self, monkeypatch, kind, terms):
+        calls = []
+
+        def recorded(state, observable, shots, rng):
+            result = measure_observable_with_stderr(state, observable, shots, rng)
+            calls.append((state, observable, shots, result))
+            return result
+
+        monkeypatch.setattr(estimators, "measure_observable_with_stderr", recorded)
+        psi, seed = rank3_purification(), 19
+        report = stage_two_estimate(kind, psi, ShotBudget(6_000, 6_001), seed)
+        [(state, (obs, gs), shots, (means, stderrs, drawn))] = calls
+        each = 6_001 // terms  # any remainder stays unused
+        assert len(gs) == terms and shots == each * terms
+        assert drawn == [each] * terms and report.shots_used["observable"] == shots
+        rng = child_rng(seed, 1)
+        for g, mean, stderr in zip(gs, means, stderrs):
+            replay = measure_observable_with_stderr(state, (obs, g), each, rng)
+            assert (mean.hex(), stderr.hex()) == (replay[0].hex(), replay[1].hex())
+
+    @pytest.mark.parametrize("kind, rank", [("cooling", 3), ("qfi", 2), ("qfi", 3)])
+    def test_one_stage_two_draw_at_any_term_count(self, monkeypatch, kind, rank):
+        calls = []
+        real = measurement.measure_in_basis
+
+        def counted(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(measurement, "measure_in_basis", counted)
+        psi = rank3_purification() if rank == 3 else graded_purification(3, 2, 134)
+        stage_two_estimate(kind, psi, ShotBudget(4_000, 4_000), seed=20)
+        # one tomography draw, then one stacked stage-2 draw
+        assert len(calls) == 2 and calls[0] == 4_000
+
+    def test_qfi_applies_the_observable_twice(self, monkeypatch):
+        # once for the bootstrap's stage-2 weights, once for both oracles
+        calls = []
+        real = Observable.__matmul__
+
+        def counted(self, v):
+            calls.append(np.shape(v))
+            return real(self, v)
+
+        monkeypatch.setattr(Observable, "__matmul__", counted)
+        report = stage_two_estimate("qfi", rank3_purification(), ShotBudget(4_000, 4_000), seed=21)
+        assert len(calls) == 2
+        assert report.extras["full_qfi_oracle"] >= report.truth > 0
 
 
 # (estimator, nA, nB, value, stderr) on a rank-2 random_rank_r sample with

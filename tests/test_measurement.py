@@ -136,6 +136,31 @@ class TestMeasureObservable:
         with pytest.raises(DomainError):
             measure_observable(state, PAULI_Z, 0, child_rng(6))
 
+    def test_stack_of_one_equals_unstacked_call(self):
+        rng = child_rng(43)
+        rho = mixed_state(3, 2, rng)
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        g = (g + g.conj().T) / 2
+        obs = Observable.from_factors([PAULI_X, PAULI_Z])
+        single = measure_observable_with_stderr(rho, (obs, g), 999, child_rng(44))
+        means, stderrs, shots = measure_observable_with_stderr(rho, (obs, [g]), 999, child_rng(44))
+        assert (means, stderrs, shots) == ([single[0]], [single[1]], [999])
+
+    def test_stack_splits_shots_evenly_over_members(self):
+        state = PureState(np.array([1, 1, 0, 0]) / np.sqrt(2), 2)
+        means, stderrs, shots = measure_observable_with_stderr(
+            state, (PAULI_Z, [PAULI_X, PAULI_Z, np.eye(2)]), 100, child_rng(45)
+        )
+        # |0>|+>: Z (x) X and Z (x) I are sharp at +1; Z (x) Z has mean 0
+        assert shots == [34, 33, 33]
+        assert (means[0], stderrs[0], means[2], stderrs[2]) == (1.0, 0.0, 1.0, 0.0)
+        assert abs(means[1]) < 0.5
+
+    def test_stack_members_must_share_dimension(self):
+        state = PureState(np.array([1, 0, 0, 0, 0, 0, 0, 0]), 3)
+        with pytest.raises(DimensionError):
+            measure_observable_with_stderr(state, (PAULI_Z, [np.eye(4), PAULI_X]), 10, child_rng(46))
+
 
 class TestMeasureInBasis:
     def test_computational_on_ground(self):

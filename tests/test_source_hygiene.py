@@ -65,3 +65,43 @@ def test_every_module_level_private_name_is_read_in_src():
         read |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     unread = sorted(f"{module}:{name}" for module, tree in trees.items() for name in _private_definitions(tree) - read)
     assert unread == []
+
+
+# The functions that draw outcomes or resample counts.  Every other shot
+# goes through measure_in_basis, so a new sampling path fails here until
+# it is routed through that choke point or named on purpose.
+SAMPLING_SITES = {
+    "crypto.py:run_blind_estimation",
+    "measurement.py:_rm_purity_estimates",
+    "measurement.py:bootstrap_stderr",
+    "measurement.py:measure_in_basis",
+}
+SAMPLERS = {"binomial", "choice", "multinomial"}
+
+
+class _SamplerCalls(ast.NodeVisitor):
+    """Records the innermost function (or ``<module>``) around each sampler call."""
+
+    def __init__(self):
+        self.scope, self.sites = ["<module>"], set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Attribute) and node.func.attr in SAMPLERS:
+            self.sites.add(self.scope[-1])
+        self.generic_visit(node)
+
+
+def test_sampling_calls_stay_at_the_measurement_choke_point():
+    sites = set()
+    for path in sorted(SRC.glob("*.py")):
+        visitor = _SamplerCalls()
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        sites |= {f"{path.name}:{name}" for name in visitor.sites}
+    assert sites == SAMPLING_SITES
