@@ -19,11 +19,9 @@ _EXPORTS = {
         "SchmidtDecomposition",
         "SpectralDecomposition",
         "eigh",
-        "fidelity",
         "matrix_power_trace",
         "partial_trace",
         "schmidt_decompose",
-        "trace_distance",
         "trace_norm",
     ),
     "ensembles": (
@@ -33,7 +31,6 @@ _EXPORTS = {
         "analytic_mean_purity",
         "child_rng",
         "classical_correlate",
-        "haar_state",
         "haar_unitary",
         "purify",
         "sample_ensemble",
@@ -43,8 +40,6 @@ _EXPORTS = {
         "ShotBudget",
         "TomographyResult",
         "measure_in_basis",
-        "measure_observable",
-        "randomized_measurement_purity",
         "tomography",
     ),
     "estimators": (
@@ -80,9 +75,7 @@ _EXPORTS = {
         "ServerKind",
         "ServerModel",
         "TranscriptEntry",
-        "make_test_observables",
         "run_blind_estimation",
-        "run_test_observable_audit",
         "run_verification",
     ),
     "reports": ("EstimatorReport",),

@@ -231,8 +231,13 @@ def _environment(jobs: int) -> dict:
     }
 
 
-def _write_outputs(text: str, rows: list, out_path: Path, fmt: str) -> None:
+def _write_outputs(text: str, rows: list, out_path: Path, fmt: str, side_files: list) -> None:
+    """The result JSON, its CSV when asked, and ``write(path)`` for each side file's ``.name.jsonl``."""
     out_path.parent.mkdir(parents=True, exist_ok=True)
+    for name, write in side_files:
+        side_path = out_path.with_suffix(f".{name}.jsonl")
+        write(side_path)
+        print(f"{name} -> {side_path}")
     out_path.write_text(text + "\n")
     if fmt == "csv":
         import csv
@@ -358,16 +363,13 @@ def _run_crypto_verify(args) -> tuple[list, dict, bool]:
     return results, summary, gap >= 0.3
 
 
-def _run_crypto_blind(args) -> tuple[list, dict, bool]:
+def _run_crypto_blind(args) -> tuple[list, dict, bool, tuple]:
     from .crypto import run_blind_estimation, write_transcript
 
     rng = child_rng(args.seed, 0)
     u = haar_unitary(2 ** args.n, rng)
     obs = _on_qubit0(args.n)
     res = run_blind_estimation(u, obs, args.rounds, args.seed, record_transcript=True)
-    transcript_path = Path(args.out).with_suffix(".transcript.jsonl")
-    write_transcript(transcript_path, res.transcript)
-    print(f"transcript -> {transcript_path}")
     summary = {
         "client_error": abs(res.client_estimate - res.truth),
         "keep_fraction": res.keep_fraction,
@@ -377,12 +379,15 @@ def _run_crypto_blind(args) -> tuple[list, dict, bool]:
         and abs(res.keep_fraction - 0.5) <= 0.02
         and abs(res.all_rounds_mean - res.all_rounds_truth) <= 0.05
     )
-    return [res.to_json()], summary, ok
+    transcript = functools.partial(write_transcript, entries=res.transcript)
+    return [res.to_json()], summary, ok, ("transcript", transcript)
 
 
-# Experiment name -> (runner(args) returning (result rows, summary metrics,
-# pass), the flags the runner reads); the order is the subcommand order of
-# ``--help``.  Every subcommand also takes the RUN_SETTINGS.
+# Experiment name -> (runner, the flags the runner reads); the order is the
+# subcommand order of ``--help``.  A runner returns (result rows, summary
+# metrics, pass), then a (name, write) pair for each side file that
+# ``_write_outputs`` writes with the result.  Every subcommand also takes
+# the RUN_SETTINGS.
 EXPERIMENTS: dict[str, tuple[Callable, tuple[str, ...]]] = {
     "identities": (_run_identities, ("t", "trials")),
     "moment": (_run_estimator, ("n", "ancilla", "rank", "t", "budget", "trials")),
@@ -485,7 +490,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args.out = args.out or f"{experiment}_seed{args.seed}.json"
 
     try:
-        results, summary, ok = runner(args)
+        results, summary, ok, *side_files = runner(args)
     except PuriscopeError as exc:
         sys.stderr.write(f"precondition failure (seed {args.seed}): {exc}\n")
         return 2
@@ -516,7 +521,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     out_path = Path(args.out)
     try:
-        _write_outputs(text, results, out_path, args.format)
+        _write_outputs(text, results, out_path, args.format, side_files)
     except OSError as exc:
         sys.stderr.write(f"resource failure (seed {args.seed}): cannot write {out_path}: {exc}\n")
         return 2

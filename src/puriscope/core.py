@@ -25,9 +25,7 @@ Conventions used throughout the package:
 * Ranks count the eigenvalues above the fixed ``DEFAULT_RANK_TOL``
   (1e-9) relative to the largest magnitude.
 * ``trace_norm`` is the un-halved trace norm ``sum |eigenvalues|``; all
-  perturbation-bound checks use that convention.  ``trace_distance``
-  returns the halved distance by default and exposes the un-halved one
-  via a flag.
+  perturbation-bound checks use that convention.
 """
 
 from __future__ import annotations
@@ -557,29 +555,3 @@ def trace_norm(m: np.ndarray) -> float:
     if (h := _hermitian_part(m, 1e-8)) is not None:
         return float(np.abs(np.linalg.eigvalsh(h)).sum())
     return float(np.linalg.svd(m, compute_uv=False).sum())
-
-
-def trace_distance(a: StateLike, b: StateLike, *, halved: bool = True) -> float:
-    """Trace distance between two states.
-
-    Returns 0.5 * ||a - b||_1 by default; ``halved=False`` gives the
-    un-halved trace norm used by the perturbation bounds.
-    """
-    ma, mb = a.spectral().reconstruct(), b.spectral().reconstruct()
-    if ma.shape != mb.shape:
-        raise DimensionError(f"dimension mismatch {ma.shape} vs {mb.shape}")
-    tn = trace_norm(ma - mb)
-    return 0.5 * tn if halved else tn
-
-
-def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2."""
-    if a.dim != b.dim:
-        raise DimensionError("dimension mismatch")
-    sqrt_a = a.spectral().apply(lambda w: np.sqrt(np.clip(w, 0.0, None)))
-    inner = sqrt_a @ b.matrix @ sqrt_a
-    vals = np.clip(np.linalg.eigvalsh((inner + inner.conj().T) / 2), 0.0, None)
-    # roundoff-scale eigenvalues would otherwise leak sqrt(eps) into the sum
-    vals[vals < 1e-14 * max(vals.max(), 1e-300)] = 0.0
-    return float(np.sqrt(vals).sum() ** 2)
-

@@ -25,7 +25,6 @@ from .baselines import single_copy_purity_attack
 ALPHAS = (math.sqrt(0.9), math.sqrt(0.5))
 TOLERANCE = 0.1
 DISHONEST_REPORT = 0.66  # the purity a dishonest constant server always reports
-AUDIT_Z_THRESHOLD = 3.0
 
 
 class ServerKind(str, Enum):
@@ -156,15 +155,14 @@ def run_blind_estimation(
     rounds: int,
     seed: int,
     *,
-    report_bias: float = 0.0,
     record_transcript: bool = False,
 ) -> BlindEstimationResult:
     """Blind observable estimation through post-selection on the B qubit.
 
     The server sees only the degenerate A marginal each round and reports
-    its measured eigenvalue (plus an optional dishonest bias); the client
-    keeps the report when its own B-qubit outcome is 0.  Kept rounds
-    average to <psi|O|psi>, all rounds to Tr(O rho_A).
+    its measured eigenvalue; the client keeps the report when its own
+    B-qubit outcome is 0.  Kept rounds average to <psi|O|psi>, all rounds
+    to Tr(O rho_A).
     """
     if rounds < 100:
         raise DomainError("blind estimation needs at least 100 rounds")
@@ -186,7 +184,7 @@ def run_blind_estimation(
     rng = child_rng(seed, 0)
     draws = rng.choice(2 * d, size=rounds, p=probs)
     obs_idx, b_bits = draws // 2, draws % 2
-    reported = observable.eigenvalues[obs_idx] + report_bias
+    reported = observable.eigenvalues[obs_idx]
     kept_mask = b_bits == 0
 
     kept = reported[kept_mask]
@@ -226,62 +224,3 @@ def write_transcript(path, entries: Sequence[TranscriptEntry]) -> None:
     with open(path, "w") as handle:
         for entry in entries:
             handle.write(json.dumps(entry.to_json(), sort_keys=True) + "\n")
-
-
-def make_test_observables(prep_unitary: np.ndarray, paulis: Sequence[np.ndarray]) -> list[tuple[Observable, float]]:
-    """Test observables U P U^dag with client-known expectations <0...0|P|0...0>."""
-    u = np.asarray(prep_unitary, dtype=complex)
-    out = []
-    for p in paulis:
-        obs = Observable(u @ np.asarray(p, dtype=complex) @ u.conj().T)
-        known = float(np.real(p[0, 0]))
-        out.append((obs, known))
-    return out
-
-
-def run_test_observable_audit(
-    prep_unitary: np.ndarray,
-    target_observables: Sequence[Observable],
-    test_observables: Sequence[tuple[Observable, float]],
-    rounds: int,
-    seed: int,
-    *,
-    report_bias: float = 0.0,
-) -> dict:
-    """Cross-check server honesty on observables with known expectations.
-
-    Rounds split evenly across targets and tests; the audit passes when
-    every test observable's kept-round mean sits within ``AUDIT_Z_THRESHOLD``
-    standard errors of its known value.  Tampering limited to the target
-    observables is invisible here, by design.
-    """
-    all_obs = list(target_observables) + [obs for obs, _ in test_observables]
-    if not test_observables:
-        raise DomainError("the audit needs at least one test observable")
-    per = rounds // len(all_obs)
-    if per < 100:
-        raise DomainError("too few rounds per observable (need >= 100)")
-
-    rows = []
-    for i, (obs, known) in enumerate(test_observables):
-        result = run_blind_estimation(
-            prep_unitary, obs, per, seed + 1000 + i, report_bias=report_bias
-        )
-        kept = max(result.kept_rounds, 1)
-        se = max(result.kept_std / math.sqrt(kept), 1e-6 * max(obs.spectral_norm, 1.0))
-        z = abs(result.client_estimate - known) / se
-        rows.append(
-            {"kind": "test", "known": known, "estimate": result.client_estimate, "z": z,
-             "pass": z <= AUDIT_Z_THRESHOLD}
-        )
-    for i, obs in enumerate(target_observables):
-        result = run_blind_estimation(
-            prep_unitary, obs, per, seed + 2000 + i, report_bias=report_bias
-        )
-        rows.append({"kind": "target", "estimate": result.client_estimate, "truth": result.truth})
-    return {
-        "audit_pass": all(row["pass"] for row in rows if row["kind"] == "test"),
-        "per_observable": rows,
-        "rounds_per_observable": per,
-        "bias": report_bias,
-    }

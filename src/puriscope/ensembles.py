@@ -60,13 +60,6 @@ def _haar_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def haar_state(n: int, rng: np.random.Generator) -> PureState:
-    """Haar-random pure state on n qubits (unsplit register)."""
-    if n < 1:
-        raise DomainError(f"qubit count {n} must be >= 1")
-    return PureState(_haar_vector(2 ** n, rng), n, 0)
-
-
 class EnsembleFamily(str, Enum):
     PURITY_S1 = "purity_s1"
     PURITY_S2 = "purity_s2"
@@ -191,17 +184,8 @@ def analytic_mean_purity(spec: EnsembleSpec) -> float:
     return float(np.sum(np.asarray(spec.weights) ** 2))
 
 
-def sample_ensemble(
-    spec: EnsembleSpec,
-    rng: np.random.Generator,
-    *,
-    force_orthogonal: bool = False,
-) -> LabeledSample:
-    """Draw one state from the family.
-
-    ``force_orthogonal`` constrains the two Haar components of the purity
-    families to be exactly orthogonal, pinning the closed-form purity.
-    """
+def sample_ensemble(spec: EnsembleSpec, rng: np.random.Generator) -> LabeledSample:
+    """Draw one state from the family."""
     fam = spec.family
     n = spec.n
     dim = 2 ** n
@@ -209,9 +193,6 @@ def sample_ensemble(
     if fam in (EnsembleFamily.PURITY_S1, EnsembleFamily.PURITY_S2):
         u = _haar_vector(dim, rng)
         v = _haar_vector(dim, rng)
-        if force_orthogonal:
-            v = v - u * (u.conj() @ v)
-            v = v / np.linalg.norm(v)
         w0 = 0.9 if fam is EnsembleFamily.PURITY_S1 else 0.5
         parts = [(w0, u), (1.0 - w0, v)]
         hidden = {"u": u, "v": v}

@@ -29,7 +29,6 @@ from .core import (
 )
 from .ensembles import child_rng
 from .errors import (
-    DimensionError,
     DomainError,
     GapError,
     GuardError,
@@ -350,19 +349,6 @@ def eigenstate_factor_exact(
     m_plus = bipartite_expectation(psi, observable, plus)
     m_minus = bipartite_expectation(psi, observable, minus)
     return 0.5 * (m_plus ** 2 + m_minus ** 2)
-
-
-def eigenstate_factor_incoherent(
-    rho_joint: DensityMatrix,
-    nA: int,
-    observable: Observable,
-    vec_j: np.ndarray,
-    vec_k: np.ndarray,
-) -> float:
-    """Same product construction evaluated on a classically correlated state."""
-    if observable.dim != 2 ** nA:
-        raise DimensionError(f"observable dimension {observable.dim} != 2**nA = {2 ** nA}")
-    return eigenstate_factor_exact(rho_joint, observable, vec_j, vec_k)
 
 
 def qfi_oracle(

@@ -117,16 +117,6 @@ def measure_in_basis(
     return rng.multinomial(shares.reshape(settings), probs)
 
 
-def measure_observable(
-    state: StateLike,
-    observable: Union[Observable, np.ndarray, tuple],
-    shots: int,
-    rng: np.random.Generator,
-) -> float:
-    """Empirical mean of eigenvalue outcomes sampled in the observable's eigenbasis."""
-    return measure_observable_with_stderr(state, observable, shots, rng)[0]
-
-
 def _mean_stderr(counts: np.ndarray, values: np.ndarray) -> tuple[float, float]:
     """Mean of per-outcome ``values`` over an outcome histogram, and its standard error."""
     shots = counts.sum()
@@ -288,7 +278,12 @@ def _rm_purity_estimates(
     shots_per_unitary: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Per-unitary unbiased purity estimates from the collision U-statistic.
+    """Per-unitary unbiased purity estimates from global Haar randomized measurements.
+
+    For a global Haar basis the collision probability averages to
+    (1 + Tr rho^2) / (d + 1), so (d + 1) times the pair-coincidence
+    U-statistic, less 1, is an unbiased purity estimate; its spread
+    carries the sqrt(d) cost.
 
     Rotating the measurement basis by Haar U is distributionally the same
     as rotating the state's support frame, so a d x r Ginibre QR per
@@ -329,18 +324,3 @@ def _rm_purity_estimates(
             pairs = np.einsum("ij,ij->i", counts, counts) - m
             collisions[start + block:start + block + len(counts)] = pairs / (m * (m - 1))
     return (d + 1) * collisions - 1.0
-
-
-def randomized_measurement_purity(
-    state: StateLike,
-    unitaries: int,
-    shots_per_unitary: int,
-    rng: np.random.Generator,
-) -> float:
-    """Single-copy purity estimate from global Haar randomized measurements.
-
-    For a global Haar basis the collision probability averages to
-    (1 + Tr rho^2) / (d + 1), so the pair-coincidence U-statistic gives an
-    unbiased purity estimator; its spread carries the sqrt(d) cost.
-    """
-    return float(_rm_purity_estimates(state, unitaries, shots_per_unitary, rng).mean())

@@ -45,7 +45,7 @@ from puriscope import (
     trace_norm,
 )
 from puriscope.core import PAULI_I, PAULI_X, PAULI_Z, pauli_on
-from puriscope.estimators import eigenstate_factor_exact, eigenstate_factor_incoherent
+from puriscope.estimators import eigenstate_factor_exact
 
 
 def _report(num, name):
@@ -441,8 +441,8 @@ class TestCriterion11ClassicalCorrelationContrast:
             coherent = eigenstate_factor_exact(
                 psi, obs, spec_b.eigenvectors[:, 0], spec_b.eigenvectors[:, 1]
             )
-            incoherent = eigenstate_factor_incoherent(
-                joint, 2, obs, spec_b.eigenvectors[:, 0], spec_b.eigenvectors[:, 1]
+            incoherent = eigenstate_factor_exact(
+                joint, obs, spec_b.eigenvectors[:, 0], spec_b.eigenvectors[:, 1]
             )
             deviated += abs(coherent - incoherent) > 0.01
         assert deviated >= 0.9 * trials

@@ -253,6 +253,21 @@ class TestCliContract:
         assert err.startswith(f"resource failure (seed 5): cannot write {tmp_path}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_crypto_blind_writes_its_transcript_in_a_new_directory(self, tmp_path):
+        out = tmp_path / "new" / "x.json"
+        assert main(["crypto-blind", "--n", "2", "--rounds", "2000", "--seed", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["experiment"] == "crypto-blind"
+        assert len(out.with_suffix(".transcript.jsonl").read_text().splitlines()) == 2000
+
+    def test_crypto_blind_under_a_regular_file_exits_2_naming_the_path(self, tmp_path, capsys):
+        parent = tmp_path / "file"
+        parent.write_text("")
+        out = parent / "x.json"
+        assert main(["crypto-blind", "--n", "2", "--rounds", "200", "--seed", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"resource failure (seed 1): cannot write {out}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_determinism_modulo_timestamp(self, tmp_path):
         _, first, _ = run_cli(
             tmp_path, "cooling", "--n", "3", "--trials", "3", "--budget", "6000", "--seed", "21"

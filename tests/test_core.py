@@ -16,7 +16,6 @@ from puriscope import (
     matrix_power_trace,
     partial_trace,
     schmidt_decompose,
-    trace_distance,
     trace_norm,
 )
 from puriscope.core import (
@@ -30,7 +29,7 @@ from puriscope.core import (
     kron_all,
     pauli_on,
 )
-from puriscope.ensembles import child_rng, haar_state, haar_unitary, purify
+from puriscope.ensembles import _haar_vector, child_rng, haar_unitary, purify
 from puriscope.errors import DimensionError, DomainError, ValidationError
 from puriscope.estimators import _expectation_weights, _steer, qfi_oracle
 from puriscope.measurement import born_probabilities
@@ -96,7 +95,7 @@ class TestPartialTrace:
 
     def test_matches_index_summation_oracle(self):
         rng = child_rng(42)
-        psi = haar_state(4, rng).resplit(3)
+        psi = PureState(_haar_vector(2 ** 4, rng), 4).resplit(3)
         reduced = partial_trace(psi, "A").matrix
         # Independent O(dA^2 dB) loop over conjugate-paired amplitudes.
         c = psi.amplitudes.reshape(8, 2)
@@ -109,12 +108,12 @@ class TestPartialTrace:
 
     def test_arbitrary_qubit_selector(self):
         rng = child_rng(43)
-        psi = haar_state(3, rng)
+        psi = PureState(_haar_vector(2 ** 3, rng), 3)
         rho_02 = partial_trace(psi, [0, 2])
         # Cross-check against tracing out qubit 1 from the full density matrix.
         full = psi.density()
         rho_ref = partial_trace(full, [0, 2])
-        assert trace_distance(rho_02, rho_ref, halved=False) < 1e-12
+        assert trace_norm(rho_02.spectral().reconstruct() - rho_ref.spectral().reconstruct()) < 1e-12
 
     def test_out_of_range_selector(self):
         with pytest.raises(DimensionError):
@@ -147,14 +146,14 @@ class TestSchmidt:
     def test_reassembly(self):
         rng = child_rng(46)
         for trial in range(20):
-            psi = haar_state(5, child_rng(46, trial)).resplit(3)
+            psi = PureState(_haar_vector(2 ** 5, child_rng(46, trial)), 5).resplit(3)
             sd = schmidt_decompose(psi)
             assert np.abs(sd.reassemble() - psi.amplitudes).max() < 1e-10
             assert np.all(sd.coefficients[:-1] >= sd.coefficients[1:] - 1e-14)
             assert abs(sd.coefficients.sum() - 1) < 1e-10
 
     def test_requires_bipartition(self):
-        psi = haar_state(2, child_rng(47))
+        psi = PureState(_haar_vector(2 ** 2, child_rng(47)), 2)
         with pytest.raises(DomainError):
             schmidt_decompose(psi)
 
@@ -322,7 +321,7 @@ class TestEighMatchesLoopReference:
         _assert_matches_reference((z + z.conj().T) / 2)
 
     def test_schmidt_phase_lock(self):
-        psi = haar_state(6, child_rng(152)).resplit(4)
+        psi = PureState(_haar_vector(2 ** 6, child_rng(152)), 6).resplit(4)
         u, s, vh = np.linalg.svd(psi.as_matrix(), full_matrices=False)
         for j in range(u.shape[1]):
             pivot = u[int(np.argmax(np.abs(u[:, j]))), j]
@@ -414,7 +413,10 @@ def _assert_factor_paths_agree(factors, rng):
 
     g = Observable(_random_factor("random", rng))
     columns = rng.standard_normal((2 ** (n + 1), 3)) + 1j * rng.standard_normal((2 ** (n + 1), 3))
-    joints = [haar_state(n + 1, rng), DensityMatrix.from_columns(columns / np.linalg.norm(columns), n + 1)]
+    joints = [
+        PureState(_haar_vector(2 ** (n + 1), rng), n + 1),
+        DensityMatrix.from_columns(columns / np.linalg.norm(columns), n + 1),
+    ]
     values = np.multiply.outer(reference.eigenvalues, g.eigenvalues).ravel()
     distinct = np.unique(values)
     gaps = np.diff(distinct) > 1e-9 * scale
@@ -530,51 +532,18 @@ class TestMomentTrace:
 
 
 class TestDistances:
-    def test_identical_states(self):
-        rng = child_rng(52)
-        rho = random_density(2, 3, rng)
-        assert trace_distance(rho, rho) == 0
-
+    # trace_norm is un-halved: orthogonal pure states are 2 apart.
     def test_orthogonal_pure_states(self):
         a = DensityMatrix(np.diag([1.0, 0]).astype(complex), 1)
         b = DensityMatrix(np.diag([0, 1.0]).astype(complex), 1)
-        assert abs(trace_distance(a, b, halved=False) - 2.0) < 1e-12
-        assert abs(trace_distance(a, b) - 1.0) < 1e-12
+        assert abs(trace_norm(a.spectral().reconstruct() - b.spectral().reconstruct()) - 2.0) < 1e-12
 
     def test_matches_eigenvalue_sum_oracle(self):
         rng = child_rng(53)
         a = random_density(3, 4, rng)
         b = random_density(3, 2, rng)
         w = np.linalg.eigvalsh(a.matrix - b.matrix)
-        assert abs(trace_distance(a, b, halved=False) - np.abs(w).sum()) < 1e-12
-
-    def test_dimension_mismatch(self):
-        a = DensityMatrix(np.eye(2) / 2, 1)
-        b = DensityMatrix(np.eye(4) / 4, 2)
-        with pytest.raises(DimensionError):
-            trace_distance(a, b)
-
-
-class TestFidelity:
-    def test_identical_states(self):
-        from puriscope import fidelity
-
-        rho = random_density(2, 2, child_rng(58))
-        assert abs(fidelity(rho, rho) - 1.0) < 1e-10
-
-    def test_orthogonal_pure_states(self):
-        from puriscope import fidelity
-
-        a = DensityMatrix(np.diag([1.0, 0]).astype(complex), 1)
-        b = DensityMatrix(np.diag([0, 1.0]).astype(complex), 1)
-        assert fidelity(a, b) < 1e-12
-
-    def test_pure_versus_mixed(self):
-        from puriscope import fidelity
-
-        a = DensityMatrix(np.diag([1.0, 0]).astype(complex), 1)
-        b = DensityMatrix(np.diag([0.7, 0.3]).astype(complex), 1)
-        assert abs(fidelity(a, b) - 0.7) < 1e-10
+        assert abs(trace_norm(a.spectral().reconstruct() - b.spectral().reconstruct()) - np.abs(w).sum()) < 1e-12
 
 
 class TestObservable:
@@ -599,7 +568,7 @@ class TestMarginalSpectra:
             rng = child_rng(54, trial)
             n_a = int(rng.integers(1, 5))
             n_b = int(rng.integers(1, 3))
-            psi = haar_state(n_a + n_b, rng).resplit(n_a)
+            psi = PureState(_haar_vector(2 ** (n_a + n_b), rng), n_a + n_b).resplit(n_a)
             wa = np.sort(np.linalg.eigvalsh(partial_trace(psi, "A").matrix))[::-1]
             wb = np.sort(np.linalg.eigvalsh(partial_trace(psi, "B").matrix))[::-1]
             k = min(len(wa), len(wb))

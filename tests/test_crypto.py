@@ -7,9 +7,7 @@ from puriscope import (
     ServerModel,
     child_rng,
     haar_unitary,
-    make_test_observables,
     run_blind_estimation,
-    run_test_observable_audit,
     run_verification,
 )
 from puriscope.core import PAULI_X, PAULI_Z, pauli_on
@@ -138,42 +136,3 @@ class TestBlindEstimation:
         first = json.loads(lines[0])
         assert first["round"] == 0 and "server_report" in first
 
-
-class TestAudit:
-    def setup_method(self):
-        self.u = haar_unitary(8, child_rng(117))
-        self.targets = [Observable(pauli_on(3, 0, PAULI_Z))]
-        # a mix of deterministic (rotated-Z) and fluctuating (rotated-X) checks
-        self.tests = make_test_observables(
-            self.u,
-            [pauli_on(3, 0, PAULI_Z), pauli_on(3, 0, PAULI_X), pauli_on(3, 1, PAULI_X)],
-        )
-
-    def test_honest_server_passes(self):
-        out = run_test_observable_audit(self.u, self.targets, self.tests, 10_000, seed=11)
-        assert out["audit_pass"]
-
-    def test_biased_server_fails(self):
-        out = run_test_observable_audit(
-            self.u, self.targets, self.tests, 10_000, seed=12, report_bias=0.2
-        )
-        assert not out["audit_pass"]
-
-    def test_bias_detection_rate(self):
-        hits = 0
-        for k in range(20):
-            out = run_test_observable_audit(
-                self.u, self.targets, self.tests, 10_000, seed=100 + k, report_bias=0.1
-            )
-            hits += not out["audit_pass"]
-        assert hits >= 19  # detects delta >= 0.1 with probability >= 0.95
-
-    def test_verdict_only_covers_test_observables(self):
-        # The audit is blind to target-only tampering by construction.
-        out = run_test_observable_audit(self.u, self.targets, self.tests, 10_000, seed=13)
-        test_rows = [r for r in out["per_observable"] if r["kind"] == "test"]
-        assert out["audit_pass"] == all(r["pass"] for r in test_rows)
-
-    def test_needs_test_observables(self):
-        with pytest.raises(DomainError):
-            run_test_observable_audit(self.u, self.targets, [], 10_000, seed=14)

@@ -39,7 +39,6 @@ from puriscope.errors import (
 from puriscope.estimators import (
     bipartite_expectation,
     eigenstate_factor_exact,
-    eigenstate_factor_incoherent,
     flip_observables,
 )
 from puriscope import estimators, measurement
@@ -589,8 +588,8 @@ class TestClassicalCorrelationContrast:
             coherent = eigenstate_factor_exact(
                 psi, obs, spec_b.eigenvectors[:, 0], spec_b.eigenvectors[:, 1]
             )
-            incoherent = eigenstate_factor_incoherent(
-                joint, 2, obs, spec_b.eigenvectors[:, 0], spec_b.eigenvectors[:, 1]
+            incoherent = eigenstate_factor_exact(
+                joint, obs, spec_b.eigenvectors[:, 0], spec_b.eigenvectors[:, 1]
             )
             assert incoherent < 1e-12
             hits += abs(coherent - incoherent) > 0.01

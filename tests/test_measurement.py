@@ -13,8 +13,6 @@ from puriscope import (
     child_rng,
     haar_unitary,
     measure_in_basis,
-    measure_observable,
-    randomized_measurement_purity,
     single_copy_purity_attack,
     tomography,
     trace_norm,
@@ -80,16 +78,16 @@ class TestMeasureObservable:
     def test_identity_is_exact(self):
         state = PureState(np.array([1, 1j]) / np.sqrt(2), 1)
         for shots in (1, 7, 100):
-            val = measure_observable(state, np.eye(2, dtype=complex), shots, child_rng(1))
+            val = measure_observable_with_stderr(state, np.eye(2, dtype=complex), shots, child_rng(1))[0]
             assert val == 1.0
 
     def test_deterministic_outcome(self):
         state = PureState(np.array([1.0, 0]), 1)
-        assert measure_observable(state, PAULI_Z, 50, child_rng(2)) == 1.0
+        assert measure_observable_with_stderr(state, PAULI_Z, 50, child_rng(2))[0] == 1.0
 
     def test_plus_state_centered(self):
         state = PureState(np.array([1, 1]) / np.sqrt(2), 1)
-        val = measure_observable(state, PAULI_Z, 100_000, child_rng(3))
+        val = measure_observable_with_stderr(state, PAULI_Z, 100_000, child_rng(3))[0]
         assert abs(val) < 0.02
 
     def test_unbiased_against_oracle(self):
@@ -99,7 +97,7 @@ class TestMeasureObservable:
         obs = Observable((z + z.conj().T) / 2)
         truth = np.trace(obs.matrix @ rho.matrix).real
         runs = np.array(
-            [measure_observable(rho, obs, 500, child_rng(4, k)) for k in range(200)]
+            [measure_observable_with_stderr(rho, obs, 500, child_rng(4, k))[0] for k in range(200)]
         )
         se = runs.std(ddof=1) / np.sqrt(200)
         assert abs(runs.mean() - truth) < 3 * se
@@ -110,7 +108,7 @@ class TestMeasureObservable:
         state = PureState(np.array([1.0, 0]), 1)
         for observable in (np.eye(4, dtype=complex), (PAULI_Z, PAULI_Z)):
             with pytest.raises(DimensionError):
-                measure_observable(state, observable, 10, child_rng(5))
+                measure_observable_with_stderr(state, observable, 10, child_rng(5))
         with pytest.raises(DimensionError):
             measure_in_basis(state, (np.eye(2), np.eye(2)), 10, child_rng(5))
 
@@ -134,7 +132,7 @@ class TestMeasureObservable:
     def test_zero_shots(self):
         state = PureState(np.array([1.0, 0]), 1)
         with pytest.raises(DomainError):
-            measure_observable(state, PAULI_Z, 0, child_rng(6))
+            measure_observable_with_stderr(state, PAULI_Z, 0, child_rng(6))
 
     def test_stack_of_one_equals_unstacked_call(self):
         rng = child_rng(43)
@@ -355,18 +353,18 @@ class TestRandomizedMeasurementPurity:
         rng = child_rng(23)
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         state = PureState(z / np.linalg.norm(z), 1)
-        val = randomized_measurement_purity(state, 200, 60, child_rng(24))
+        val = _rm_purity_estimates(state, 200, 60, child_rng(24)).mean()
         assert abs(val - 1.0) < 0.05
 
     def test_maximally_mixed(self):
         rho = DensityMatrix(np.eye(2) / 2, 1)
-        val = randomized_measurement_purity(rho, 200, 60, child_rng(25))
+        val = _rm_purity_estimates(rho, 200, 60, child_rng(25)).mean()
         assert abs(val - 0.5) < 0.05
 
     def test_unbiased(self):
         rho = mixed_state(2, 2, child_rng(26), weights=[0.8, 0.2])
         runs = np.array(
-            [randomized_measurement_purity(rho, 50, 20, child_rng(27, k)) for k in range(200)]
+            [_rm_purity_estimates(rho, 50, 20, child_rng(27, k)).mean() for k in range(200)]
         )
         se = runs.std(ddof=1) / np.sqrt(200)
         assert abs(runs.mean() - rho.purity()) < 3 * se
@@ -378,7 +376,7 @@ class TestRandomizedMeasurementPurity:
             for k in range(40):
                 rng = child_rng(28, n, k)
                 rho = mixed_state(n, 2, rng, weights=[0.9, 0.1])
-                est = randomized_measurement_purity(rho, 250, 8, child_rng(29, n, k))
+                est = _rm_purity_estimates(rho, 250, 8, child_rng(29, n, k)).mean()
                 errs.append(est - rho.purity())
             return float(np.sqrt(np.mean(np.square(errs))))
 
@@ -388,7 +386,7 @@ class TestRandomizedMeasurementPurity:
     def test_insufficient_shots(self):
         rho = DensityMatrix(np.eye(2) / 2, 1)
         with pytest.raises(InsufficientDataError):
-            randomized_measurement_purity(rho, 10, 1, child_rng(30))
+            _rm_purity_estimates(rho, 10, 1, child_rng(30))
 
     def test_memory_bounded_at_full_rank(self):
         # A full-rank state needs a d x d frame per random basis.  Drawing all
@@ -399,7 +397,7 @@ class TestRandomizedMeasurementPurity:
             rho = DensityMatrix(np.eye(d) / d, n)
             tracemalloc.start()
             try:
-                value = randomized_measurement_purity(rho, unitaries, 8, child_rng(31, n))
+                value = _rm_purity_estimates(rho, unitaries, 8, child_rng(31, n)).mean()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

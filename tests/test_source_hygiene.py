@@ -42,8 +42,8 @@ def test_every_module_level_import_is_used(path):
     assert sorted(bound - _referenced_names(tree)) == []
 
 
-def _private_definitions(tree: ast.Module) -> set[str]:
-    """Module-level private names a module defines: ``_function``, ``_Class``, ``_CONSTANT``."""
+def _definitions(tree: ast.Module) -> set[str]:
+    """Module-level names a module defines with ``def``, ``class`` or an assignment."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -51,20 +51,55 @@ def _private_definitions(tree: ast.Module) -> set[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names |= {t.id for t in targets if isinstance(t, ast.Name)}
-    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+    return names
 
 
-def test_every_module_level_private_name_is_read_in_src():
-    # A private helper, class or constant that no module of the package
-    # reads is dead code; tests and the benchmark do not count as readers.
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+def _unread(trees: dict, definitions: dict) -> list[str]:
+    """``module:name`` for each defined name that no module in ``trees`` reads."""
     read = set()
     for tree in trees.values():
         read |= _referenced_names(tree)
         read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         read |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
-    unread = sorted(f"{module}:{name}" for module, tree in trees.items() for name in _private_definitions(tree) - read)
-    assert unread == []
+    return sorted(f"{module}:{name}" for module, names in definitions.items() for name in names - read)
+
+
+def _src_trees() -> dict:
+    return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def test_every_module_level_private_name_is_read_in_src():
+    # A private helper, class or constant that no module of the package
+    # reads is dead code; tests and the benchmark do not count as readers.
+    trees = _src_trees()
+    private = {
+        module: {name for name in _definitions(tree) if name.startswith("_") and not name.startswith("__")}
+        for module, tree in trees.items()
+    }
+    assert _unread(trees, private) == []
+
+
+# Public names that no module of the package reads, each kept on purpose.
+INPUTS = {
+    "channels.py:unitary_channel",  # a documented channel input
+    "channels.py:depolarizing_channel",  # a documented channel input
+    "channels.py:amplitude_damping_channel",  # a documented channel input
+    "ensembles.py:classical_correlate",  # criterion 11's incoherent state, for the dephasing sweep
+    "estimators.py:eigenstate_factor_exact",  # the exact two-copy factor criterion 11 grades against
+    "core.py:pauli_on",  # the benchmark's dense observables, until it builds them from factors
+}
+
+
+def test_every_public_name_is_read_in_src():
+    # A public function, class or constant serves a CLI run, a claim or
+    # another module, or is a named input; the export table does not count
+    # as a reader, and neither do tests or the benchmark.
+    trees = _src_trees()
+    public = {module: {n for n in _definitions(tree) if not n.startswith("_")} for module, tree in trees.items()}
+    del trees["__init__.py"]
+    unread = set(_unread(trees, public))
+    assert sorted(unread - INPUTS) == []
+    assert sorted(INPUTS - unread) == []  # an input that gained a reader leaves the list
 
 
 # The functions that draw outcomes or resample counts.  Every other shot

@@ -20,13 +20,11 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SUBMODULES = ("core", "ensembles", "measurement", "estimators", "baselines", "channels", "crypto", "reports")
 EXPORTS = [
     "DensityMatrix", "Observable", "PureState", "SchmidtDecomposition", "SpectralDecomposition",
-    "eigh", "fidelity", "matrix_power_trace", "partial_trace", "schmidt_decompose",
-    "trace_distance", "trace_norm",
+    "eigh", "matrix_power_trace", "partial_trace", "schmidt_decompose", "trace_norm",
     "EnsembleFamily", "EnsembleSpec", "LabeledSample", "analytic_mean_purity", "child_rng",
-    "classical_correlate", "haar_state", "haar_unitary", "purify", "sample_ensemble",
+    "classical_correlate", "haar_unitary", "purify", "sample_ensemble",
     "verification_state",
-    "ShotBudget", "TomographyResult", "measure_in_basis", "measure_observable",
-    "randomized_measurement_purity", "tomography",
+    "ShotBudget", "TomographyResult", "measure_in_basis", "tomography",
     "PurificationIdentity", "estimate_moment", "estimate_pca", "estimate_qfi",
     "estimate_virtual_cooling", "oracle_identity_check", "qfi_oracle",
     "DistinguishResult", "distinguish_experiment", "single_copy_purity_attack",
@@ -35,8 +33,7 @@ EXPORTS = [
     "channel_pca_estimate", "depolarizing_channel", "random_channel", "unitarity_estimate",
     "unitary_channel", "virtual_distillation_estimate",
     "BlindEstimationResult", "ServerKind", "ServerModel", "TranscriptEntry",
-    "make_test_observables", "run_blind_estimation", "run_test_observable_audit",
-    "run_verification",
+    "run_blind_estimation", "run_verification",
     "EstimatorReport",
 ]
 
