@@ -49,6 +49,12 @@ class TestQuantumChannel:
         with pytest.raises(ValidationError):
             QuantumChannel(bad, 1)
 
+    def test_kraus_validation(self):
+        with pytest.raises(ValidationError, match="at least one Kraus operator"):
+            QuantumChannel((), 1)
+        with pytest.raises(ValidationError, match="Kraus shape"):
+            QuantumChannel((np.eye(4, dtype=complex),), 1)
+
     def test_unitarity_of_unitary_channel(self):
         u = haar_unitary(4, child_rng(100))
         assert abs(unitary_channel(u).unitarity() - 1.0) < 1e-12
@@ -367,6 +373,11 @@ class TestStandardChannels:
     def test_depolarizing_rate_domain(self):
         with pytest.raises(DomainError):
             depolarizing_channel(1.5)
+
+    @pytest.mark.parametrize("gamma", [-0.1, 1.5])
+    def test_damping_strength_domain(self, gamma):
+        with pytest.raises(DomainError):
+            amplitude_damping_channel(gamma)
 
     def test_random_channel_rank(self):
         channel = random_channel(2, 3, child_rng(111))

@@ -119,6 +119,16 @@ class TestPartialTrace:
         with pytest.raises(DimensionError):
             partial_trace(BELL, [0, 5])
 
+    def test_malformed_selectors(self):
+        with pytest.raises(DimensionError, match="requires a PureState"):
+            partial_trace(BELL.density(), "A")
+        with pytest.raises(DimensionError, match="unknown subsystem selector"):
+            partial_trace(BELL, "C")
+        with pytest.raises(DimensionError, match="at least one qubit"):
+            partial_trace(BELL, [])
+        with pytest.raises(DimensionError, match="duplicate qubit"):
+            partial_trace(BELL, [0, 0])
+
     def test_trace_preserved(self):
         rng = child_rng(44)
         rho = random_density(3, 4, rng)
@@ -532,6 +542,11 @@ class TestMomentTrace:
 
 
 class TestDistances:
+    def test_identical_states(self):
+        rng = child_rng(52)
+        rho = random_density(2, 3, rng)
+        assert trace_norm(rho.matrix - rho.matrix) == 0
+
     # trace_norm is un-halved: orthogonal pure states are 2 apart.
     def test_orthogonal_pure_states(self):
         a = DensityMatrix(np.diag([1.0, 0]).astype(complex), 1)

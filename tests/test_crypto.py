@@ -121,6 +121,16 @@ class TestBlindEstimation:
         with pytest.raises(DomainError):
             run_blind_estimation(np.eye(2), obs, 50, seed=10)
 
+    def test_preparation_must_be_square_power_of_two(self):
+        obs = Observable(PAULI_Z)
+        for prep in (np.eye(3), np.ones((4, 2))):
+            with pytest.raises(DomainError, match="preparation unitary"):
+                run_blind_estimation(prep, obs, 200, seed=10)
+
+    def test_observable_must_match_payload(self):
+        with pytest.raises(DomainError, match="does not match the payload"):
+            run_blind_estimation(np.eye(4), Observable(PAULI_Z), 200, seed=10)
+
     def test_transcript_jsonl(self, tmp_path):
         import json
 

@@ -8,6 +8,7 @@ from puriscope import (
     EnsembleFamily,
     EnsembleSpec,
     Observable,
+    PureState,
     analytic_mean_purity,
     child_rng,
     classical_correlate,
@@ -22,7 +23,7 @@ from puriscope import (
 )
 from puriscope.core import PAULI_X, pauli_on
 from puriscope.ensembles import _haar_vector
-from puriscope.errors import CapacityError, DomainError, ValidationError
+from puriscope.errors import CapacityError, DimensionError, DomainError, ValidationError
 
 
 def _trace_norm_gap(a, b):
@@ -75,6 +76,12 @@ class TestHaarSampling:
         )
         assert abs(plain.mean() - rotated.mean()) < 3 * (1 / 8) / np.sqrt(2000) * 3
 
+    def test_zero_qubits_rejected(self):
+        with pytest.raises(DomainError):
+            haar_unitary(0, child_rng(11))
+        with pytest.raises(DomainError):
+            PureState(np.ones(1, dtype=complex), 0)
+
 
 class TestEnsembleSpec:
     def test_json_round_trip(self):
@@ -94,6 +101,16 @@ class TestEnsembleSpec:
     def test_weight_validation(self):
         with pytest.raises(ValidationError):
             EnsembleSpec(EnsembleFamily.RANDOM_RANK_R, 2, rank=2, weights=(0.6, 0.3))
+
+    def test_random_rank_r_needs_rank_and_weights(self):
+        family = EnsembleFamily.RANDOM_RANK_R
+        for rank in (None, 0, 9):
+            with pytest.raises(DomainError, match="rank"):
+                EnsembleSpec(family, 3, rank=rank, weights=(1.0,))
+        with pytest.raises(DomainError, match="explicit weights"):
+            EnsembleSpec(family, 3, rank=2)
+        with pytest.raises(ValidationError, match="1 weights for rank 2"):
+            EnsembleSpec(family, 3, rank=2, weights=(1.0,))
 
     def test_fixed_rank_family_rejects_rank_and_weights(self):
         with pytest.raises(DomainError):
@@ -250,6 +267,11 @@ class TestPurify:
         with pytest.raises(CapacityError):
             purify(rho, 1)
 
+    def test_negative_ancilla_rejected(self):
+        rho = DensityMatrix(np.diag([1.0, 0]).astype(complex), 1)
+        with pytest.raises(DomainError):
+            purify(rho, -1)
+
 
 class TestClassicalCorrelate:
     def test_pure_state_appends_ground_ancilla(self):
@@ -352,3 +374,9 @@ class TestVerificationState:
     def test_alpha_domain(self):
         with pytest.raises(DomainError):
             verification_state(1.5, np.eye(2), np.eye(2))
+
+    def test_branch_dimensions(self):
+        with pytest.raises(DimensionError, match="branch dimensions differ"):
+            verification_state(0.5, np.eye(2), np.eye(4))
+        with pytest.raises(DimensionError, match="not a power of two"):
+            verification_state(0.5, np.eye(3), np.eye(3))

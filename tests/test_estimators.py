@@ -103,6 +103,10 @@ class TestIdentities:
         dev = oracle_identity_check(psi, PurificationIdentity.CROSS_STEERING, pair=(0, 1))
         assert dev <= 1e-9
 
+    def test_moment_steering_order_domain(self):
+        with pytest.raises(DomainError):
+            oracle_identity_check(BELL, PurificationIdentity.MOMENT_STEERING, t=0)
+
     def test_principal_steering_needs_gap(self):
         psi = BELL  # both marginal eigenvalues are 1/2
         with pytest.raises(GapError):
@@ -207,6 +211,12 @@ class TestEstimateVirtualCooling:
         report = estimate_virtual_cooling(psi, obs, 2, ShotBudget(50_000, 50_000), seed=7)
         assert abs(report.truth - 0.125) < 1e-9
         assert report.abs_error < 0.05
+
+    @pytest.mark.parametrize("t", [1, 7])
+    def test_moment_guard(self, t):
+        obs = Observable(PAULI_Z)
+        with pytest.raises(DomainError):
+            estimate_virtual_cooling(BELL, obs, t, ShotBudget(1000, 1000), seed=6)
 
 
 class TestEstimatePca:
