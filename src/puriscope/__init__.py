@@ -16,7 +16,6 @@ _EXPORTS = {
         "DensityMatrix",
         "Observable",
         "PureState",
-        "SchmidtDecomposition",
         "SpectralDecomposition",
         "eigh",
         "matrix_power_trace",
@@ -74,7 +73,6 @@ _EXPORTS = {
         "BlindEstimationResult",
         "ServerKind",
         "ServerModel",
-        "TranscriptEntry",
         "run_blind_estimation",
         "run_verification",
     ),

@@ -25,7 +25,7 @@ from .core import (
     kron_all,
     partial_trace,
 )
-from .ensembles import _ginibre
+from .ensembles import _ginibre, _haar_frame
 from .errors import DomainError, GapError, GuardError, ValidationError
 from .estimators import DEFAULT_MIN_GAP, _guard_observable, _principal, _two_stage
 from .measurement import ShotBudget
@@ -81,18 +81,6 @@ class QuantumChannel:
         c = self.choi()
         return float(np.real(np.trace(c @ c)))
 
-    def to_json(self) -> list:
-        return [[[z.real, z.imag] for z in k.reshape(-1)] for k in self.kraus]
-
-    @staticmethod
-    def from_json(obj: list, n: int) -> "QuantumChannel":
-        d = 2 ** n
-        ops = []
-        for flat in obj:
-            arr = np.array([complex(re, im) for re, im in flat]).reshape(d, d)
-            ops.append(arr)
-        return QuantumChannel(tuple(ops), n)
-
 
 @dataclass(frozen=True)
 class StinespringIsometry:
@@ -140,10 +128,6 @@ class StinespringIsometry:
     def b(self) -> int:
         return (self.weights.size - 1).bit_length()
 
-    @property
-    def env_dim(self) -> int:
-        return 2 ** self.b
-
     def output_state(self, rho_in: DensityMatrix) -> DensityMatrix:
         """Joint system-environment state V rho V^dag on n + b qubits, from rho's support columns."""
         if rho_in.n != self.n:
@@ -157,10 +141,6 @@ class StinespringIsometry:
         if self.b == 0:
             return DensityMatrix(np.ones((1, 1)), 0)
         return partial_trace(joint, range(self.n, joint.n))
-
-    def apply(self, rho_in: DensityMatrix) -> np.ndarray:
-        """Channel action Tr_B(V rho V^dag) recovered from the dilation."""
-        return partial_trace(self.output_state(rho_in), range(self.n)).matrix
 
     def distilled_truth(self, rho_in: DensityMatrix, observable: Observable) -> float:
         """Kraus-sum oracle sum_i p_i^2 Tr(O E_i rho E_i^dag)."""
@@ -299,7 +279,6 @@ def random_channel(n: int, choi_rank: int, rng: np.random.Generator) -> QuantumC
     d = 2 ** n
     if not 1 <= choi_rank <= d * d:
         raise DomainError(f"choi rank {choi_rank} outside [1, {d * d}]")
-    q, r = np.linalg.qr(_ginibre((d * choi_rank, d), rng))
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    q = _haar_frame(_ginibre((d * choi_rank, d), rng))
     kraus = tuple(q[e * d:(e + 1) * d, :] for e in range(choi_rank))
     return QuantumChannel(kraus, n)

@@ -146,15 +146,6 @@ class PureState:
         """The rank-1 spectrum: eigenvalue 1 on the amplitude column."""
         return SpectralDecomposition(np.ones(1), self.amplitudes[:, None])
 
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix.from_columns(self.amplitudes[:, None], self.n)
-
-    def resplit(self, nA: int) -> "PureState":
-        """Same amplitudes with the A/B cut moved to a new position."""
-        if not 0 <= nA <= self.n:
-            raise DimensionError(f"cannot place cut at {nA} in an {self.n}-qubit register")
-        return PureState(self.amplitudes, nA, self.n - nA)
-
 
 class DensityMatrix:
     """Hermitian PSD trace-1 state, carried as its canonical spectrum."""
@@ -495,49 +486,17 @@ def partial_trace(state: StateLike, keep) -> DensityMatrix:
     return DensityMatrix(reduced, len(idx))
 
 
-@dataclass(frozen=True)
-class SchmidtDecomposition:
-    """Shared Schmidt coefficients with paired A-side and B-side vectors.
+def schmidt_decompose(state: PureState) -> SpectralDecomposition:
+    """A-side Schmidt factor across the declared A/B split.
 
-    ``a_side.eigenvalues`` and ``b_side.eigenvalues`` are both the
-    coefficients lambda_j; column j of one side partners column j of the
-    other, so summing sqrt(lambda_j) |a_j> (x) |b_j> rebuilds the state.
-    """
-
-    coefficients: np.ndarray
-    a_side: SpectralDecomposition
-    b_side: SpectralDecomposition
-
-    def reassemble(self) -> np.ndarray:
-        amps = np.einsum(
-            "j,aj,bj->ab",
-            np.sqrt(self.coefficients),
-            self.a_side.eigenvectors,
-            self.b_side.eigenvectors,
-        )
-        return amps.reshape(-1)
-
-
-def schmidt_decompose(state: PureState) -> SchmidtDecomposition:
-    """Schmidt decomposition across the declared A/B split.
-
-    Coefficients are the shared marginal eigenvalues, sorted descending;
-    the two vector sets are orthonormal and phase-locked so that the
-    reassembled amplitude vector matches the input.
+    The eigenvalues are the Schmidt coefficients lambda_j (the shared
+    marginal spectrum), sorted descending; the columns are the matching
+    A-side Schmidt vectors, phase-fixed as :func:`eigh` fixes them.
     """
     if state.nA < 1 or state.nB < 1:
         raise DomainError("schmidt decomposition needs nA >= 1 and nB >= 1")
-    c = state.as_matrix()
-    u, s, vh = np.linalg.svd(c, full_matrices=False)
-    coeffs = s ** 2
-    # The B-side Schmidt vectors are the rows of vh (the eigenvectors of
-    # rho_B are the conjugated right singular vectors).  Lock the pair
-    # phase: rotating the A column rotates the partner row oppositely,
-    # keeping u @ diag(s) @ vh invariant.
-    phases = _column_phases(u)
-    a = SpectralDecomposition(coeffs, u * phases)
-    b = SpectralDecomposition(coeffs, (vh * phases.conj()[:, None]).T)
-    return SchmidtDecomposition(_freeze(coeffs), a, b)
+    u, s, _ = np.linalg.svd(state.as_matrix(), full_matrices=False)
+    return SpectralDecomposition(s ** 2, u * _column_phases(u))
 
 
 def matrix_power_trace(rho: DensityMatrix, t: int) -> float:

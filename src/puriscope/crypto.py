@@ -2,17 +2,17 @@
 
 The server is a strategy object, not a network peer: the protocols are
 information theoretic and the artifact's job is to check their statistics.
-Each round's transcript entry is recorded in order and serializes to one
-JSON object, so audits can be replayed offline.
+A blind-estimation result keeps each round's server report and client B
+bit as arrays, and ``write_transcript`` writes them as one JSON object per
+round, so audits can be replayed offline.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,17 +39,6 @@ class ServerModel:
 
     kind: ServerKind
     budget: int = 10_000  # shots of the single-copy server's purity attack
-
-
-@dataclass
-class TranscriptEntry:
-    round: int
-    client_action: str
-    server_report: Optional[float] = None
-    client_side_data: Optional[int] = None
-
-    def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def run_verification(
@@ -124,10 +113,12 @@ class BlindEstimationResult:
     kept_rounds: int
     kept_std: float
     server_view_deviation: float
-    transcript: list[TranscriptEntry] = field(default_factory=list)
+    reported: np.ndarray  # per round: the eigenvalue the server reports
+    b_bits: np.ndarray  # per round: the client's B-qubit outcome; 0 keeps the round
 
     def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "transcript"}
+        """The scalar fields; the per-round arrays go to ``write_transcript``."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("reported", "b_bits")}
 
 
 def _blind_joint_state(prep_unitary: np.ndarray) -> tuple[PureState, np.ndarray, np.ndarray]:
@@ -154,8 +145,6 @@ def run_blind_estimation(
     observable: Observable,
     rounds: int,
     seed: int,
-    *,
-    record_transcript: bool = False,
 ) -> BlindEstimationResult:
     """Blind observable estimation through post-selection on the B qubit.
 
@@ -193,18 +182,6 @@ def run_blind_estimation(
     kept_std = float(kept.std(ddof=1)) if kept.size > 1 else 0.0
     truth = observable.expectation(psi[:, None], 1.0)
     all_truth = observable.expectation(np.column_stack([psi, psi_perp]), 0.5)
-
-    transcript = []
-    if record_transcript:
-        for r in range(rounds):
-            transcript.append(
-                TranscriptEntry(
-                    round=r,
-                    client_action="transmit_state_and_measure_b",
-                    server_report=float(reported[r]),
-                    client_side_data=int(b_bits[r]),
-                )
-            )
     return BlindEstimationResult(
         client_estimate=kept_mean,
         truth=truth,
@@ -215,12 +192,19 @@ def run_blind_estimation(
         kept_rounds=int(kept_mask.sum()),
         kept_std=kept_std,
         server_view_deviation=view_deviation,
-        transcript=transcript,
+        reported=reported,
+        b_bits=b_bits,
     )
 
 
-def write_transcript(path, entries: Sequence[TranscriptEntry]) -> None:
-    """Serialize a protocol transcript as JSON lines, one entry per round."""
+def write_transcript(path, result: BlindEstimationResult) -> None:
+    """Write a blind-estimation transcript as JSON lines, one object per round."""
     with open(path, "w") as handle:
-        for entry in entries:
-            handle.write(json.dumps(entry.to_json(), sort_keys=True) + "\n")
+        for r, (report, bit) in enumerate(zip(result.reported.tolist(), result.b_bits.tolist())):
+            entry = {
+                "client_action": "transmit_state_and_measure_b",
+                "client_side_data": bit,
+                "round": r,
+                "server_report": report,
+            }
+            handle.write(json.dumps(entry, sort_keys=True) + "\n")

@@ -12,9 +12,8 @@ both components from the full ``2**n``-dimensional space).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -45,14 +44,18 @@ def _ginibre(shape: tuple, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def _haar_frame(z: np.ndarray) -> np.ndarray:
+    """Orthonormal columns of a Ginibre matrix z: its thin QR's Q with R's diagonal phases fixed."""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary via QR of a Ginibre matrix with phase-fixed R."""
     if dim < 1:
         raise DomainError(f"dimension {dim} must be >= 1")
-    z = _ginibre((dim, dim), rng) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar_frame(_ginibre((dim, dim), rng) / np.sqrt(2))
 
 
 def _haar_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -141,17 +144,6 @@ class EnsembleSpec:
         if self.family is EnsembleFamily.RANDOM_RANK_R:
             return int(self.rank)
         return _DECLARED_RANK[self.family]
-
-    def to_json(self) -> dict:
-        weights = None if self.weights is None else list(self.weights)
-        return {**asdict(self), "family": self.family.value, "weights": weights}
-
-    @staticmethod
-    def from_json(obj: dict | str) -> "EnsembleSpec":
-        """The spec ``to_json`` wrote; ``__post_init__`` restores the family and weight types."""
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        return EnsembleSpec(obj["family"], int(obj["n"]), obj.get("rank"), obj.get("weights"))
 
 
 @dataclass(frozen=True)
@@ -245,8 +237,7 @@ def sample_ensemble(spec: EnsembleSpec, rng: np.random.Generator) -> LabeledSamp
 
     else:  # RANDOM_RANK_R
         r = spec.rank
-        q, rr = np.linalg.qr(_ginibre((dim, r), rng))
-        q = q * (np.diagonal(rr) / np.abs(np.diagonal(rr)))
+        q = _haar_frame(_ginibre((dim, r), rng))
         weights = np.asarray(spec.weights, dtype=float)
         parts = [(float(w), q[:, i]) for i, w in enumerate(weights)]
         hidden = {"frame": q}

@@ -265,7 +265,7 @@ def estimate_moment(psi: PureState, t: int, budget: ShotBudget, seed: int) -> Es
         seed,
         spectral=lambda w: np.sum(w ** t, axis=-1),
     )[0]
-    report.truth = float(np.sum(schmidt_decompose(psi).a_side.eigenvalues ** t))
+    report.truth = float(np.sum(schmidt_decompose(psi).eigenvalues ** t))
     return report
 
 
@@ -293,7 +293,7 @@ def estimate_virtual_cooling(
         observable=observable,
         terms=lambda spec: [(1.0, spec.apply(lambda w: w ** (t - 1)))],
     )[0]
-    a_side = schmidt_decompose(psi).a_side
+    a_side = schmidt_decompose(psi)
     report.truth = observable.expectation(a_side.eigenvectors, a_side.eigenvalues ** t)  # Tr(O rho_A^t)
     return report
 
@@ -321,7 +321,7 @@ def estimate_pca(
     report = _two_stage(
         rho_b, budget, seed, joint=psi, observable=observable, terms=lambda spec: [_principal(spec)]
     )[0]
-    report.truth = observable.expectation(schmidt_decompose(psi).a_side.eigenvectors[:, :1], 1.0)
+    report.truth = observable.expectation(schmidt_decompose(psi).eigenvectors[:, :1], 1.0)
     return report
 
 
@@ -436,7 +436,7 @@ def estimate_qfi(
     report, spec, means = _two_stage(
         rho_b, budget, seed, joint=psi, observable=observable, terms=flips, power=2
     )
-    report.truth, full = _qfi_oracles(schmidt_decompose(psi).a_side, observable)
+    report.truth, full = _qfi_oracles(schmidt_decompose(psi), observable)
     lam = spec.eigenvalues
     rows = []
     for (j, k), m_plus, m_minus in zip(pairs, means[0::2], means[1::2]):

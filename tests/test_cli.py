@@ -67,6 +67,12 @@ class TestCliRuns:
         row = payload["results"][0]
         assert abs(row["keep_fraction"] - 0.5) <= 0.02
 
+    @pytest.mark.parametrize("rounds", ["200", "1000"])
+    def test_crypto_blind_gates_follow_the_round_count(self, tmp_path, rounds):
+        # the gates are set at the default 10,000 rounds and scale as the 1/sqrt(rounds) shot noise
+        rc, _, _ = run_cli(tmp_path, "crypto-blind", "--n", "2", "--rounds", rounds, "--seed", "1")
+        assert rc == 0
+
     @pytest.mark.parametrize(
         "args, rows",
         [

@@ -95,7 +95,7 @@ class TestPartialTrace:
 
     def test_matches_index_summation_oracle(self):
         rng = child_rng(42)
-        psi = PureState(_haar_vector(2 ** 4, rng), 4).resplit(3)
+        psi = PureState(_haar_vector(2 ** 4, rng), 3, 1)
         reduced = partial_trace(psi, "A").matrix
         # Independent O(dA^2 dB) loop over conjugate-paired amplitudes.
         c = psi.amplitudes.reshape(8, 2)
@@ -111,7 +111,7 @@ class TestPartialTrace:
         psi = PureState(_haar_vector(2 ** 3, rng), 3)
         rho_02 = partial_trace(psi, [0, 2])
         # Cross-check against tracing out qubit 1 from the full density matrix.
-        full = psi.density()
+        full = DensityMatrix.from_columns(psi.amplitudes[:, None], 3)
         rho_ref = partial_trace(full, [0, 2])
         assert trace_norm(rho_02.spectral().reconstruct() - rho_ref.spectral().reconstruct()) < 1e-12
 
@@ -121,7 +121,7 @@ class TestPartialTrace:
 
     def test_malformed_selectors(self):
         with pytest.raises(DimensionError, match="requires a PureState"):
-            partial_trace(BELL.density(), "A")
+            partial_trace(DensityMatrix.from_columns(BELL.amplitudes[:, None], 2), "A")
         with pytest.raises(DimensionError, match="unknown subsystem selector"):
             partial_trace(BELL, "C")
         with pytest.raises(DimensionError, match="at least one qubit"):
@@ -138,29 +138,30 @@ class TestPartialTrace:
 
 class TestSchmidt:
     def test_bell_coefficients(self):
-        sd = schmidt_decompose(BELL)
-        np.testing.assert_allclose(sd.coefficients, [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(schmidt_decompose(BELL).eigenvalues, [0.5, 0.5], atol=1e-12)
 
     def test_product_state(self):
         psi = PureState(np.kron(np.array([1, 0]), np.array([1, 0])), 1, 1)
-        sd = schmidt_decompose(psi)
-        np.testing.assert_allclose(sd.coefficients, [1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(schmidt_decompose(psi).eigenvalues, [1.0, 0.0], atol=1e-12)
 
     def test_round_trip_with_purify(self):
         rng = child_rng(45)
         rho = random_density(2, 2, rng, weights=[0.9, 0.1])
         psi = purify(rho, 1)
-        sd = schmidt_decompose(psi)
-        np.testing.assert_allclose(sd.coefficients, [0.9, 0.1], atol=1e-10)
+        np.testing.assert_allclose(schmidt_decompose(psi).eigenvalues, [0.9, 0.1], atol=1e-10)
 
     def test_reassembly(self):
-        rng = child_rng(46)
         for trial in range(20):
-            psi = PureState(_haar_vector(2 ** 5, child_rng(46, trial)), 5).resplit(3)
+            psi = PureState(_haar_vector(2 ** 5, child_rng(46, trial)), 3, 2)
             sd = schmidt_decompose(psi)
-            assert np.abs(sd.reassemble() - psi.amplitudes).max() < 1e-10
-            assert np.all(sd.coefficients[:-1] >= sd.coefficients[1:] - 1e-14)
-            assert abs(sd.coefficients.sum() - 1) < 1e-10
+            c = psi.as_matrix()
+            # row j is sqrt(lambda_j) times the B-side partner of A-side vector j: the
+            # pairs rebuild the state, and the partners are orthogonal with squared norms lambda_j
+            partners = sd.eigenvectors.conj().T @ c
+            assert np.abs(sd.eigenvectors @ partners - c).max() < 1e-10
+            assert np.abs(partners @ partners.conj().T - np.diag(sd.eigenvalues)).max() < 1e-10
+            assert np.all(sd.eigenvalues[:-1] >= sd.eigenvalues[1:] - 1e-14)
+            assert abs(sd.eigenvalues.sum() - 1) < 1e-10
 
     def test_requires_bipartition(self):
         psi = PureState(_haar_vector(2 ** 2, child_rng(47)), 2)
@@ -331,18 +332,14 @@ class TestEighMatchesLoopReference:
         _assert_matches_reference((z + z.conj().T) / 2)
 
     def test_schmidt_phase_lock(self):
-        psi = PureState(_haar_vector(2 ** 6, child_rng(152)), 6).resplit(4)
-        u, s, vh = np.linalg.svd(psi.as_matrix(), full_matrices=False)
+        psi = PureState(_haar_vector(2 ** 6, child_rng(152)), 4, 2)
+        u, s, _ = np.linalg.svd(psi.as_matrix(), full_matrices=False)
         for j in range(u.shape[1]):
             pivot = u[int(np.argmax(np.abs(u[:, j]))), j]
-            phase = pivot.conj() / np.abs(pivot)
-            u[:, j] = u[:, j] * phase
-            vh[j, :] = vh[j, :] * phase.conj()
+            u[:, j] = u[:, j] * (pivot.conj() / np.abs(pivot))
         sd = schmidt_decompose(psi)
-        np.testing.assert_array_equal(sd.a_side.eigenvectors, u)
-        np.testing.assert_array_equal(sd.b_side.eigenvectors, vh.T)
-        reference = np.einsum("j,aj,bj->ab", np.sqrt(s ** 2), u, vh.T).reshape(-1)
-        np.testing.assert_array_equal(sd.reassemble(), reference)
+        np.testing.assert_array_equal(sd.eigenvectors, u)
+        np.testing.assert_array_equal(sd.eigenvalues, s ** 2)
 
 
 class TestOneDiagonalisation:
@@ -583,7 +580,7 @@ class TestMarginalSpectra:
             rng = child_rng(54, trial)
             n_a = int(rng.integers(1, 5))
             n_b = int(rng.integers(1, 3))
-            psi = PureState(_haar_vector(2 ** (n_a + n_b), rng), n_a + n_b).resplit(n_a)
+            psi = PureState(_haar_vector(2 ** (n_a + n_b), rng), n_a, n_b)
             wa = np.sort(np.linalg.eigvalsh(partial_trace(psi, "A").matrix))[::-1]
             wb = np.sort(np.linalg.eigvalsh(partial_trace(psi, "B").matrix))[::-1]
             k = min(len(wa), len(wb))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from puriscope import (
     run_verification,
 )
 from puriscope.core import PAULI_X, PAULI_Z, pauli_on
+from puriscope.crypto import write_transcript
 from puriscope.errors import DomainError
 
 
@@ -90,31 +93,36 @@ class TestBlindEstimation:
     def test_transcript_recording(self):
         u = haar_unitary(4, child_rng(116))
         obs = Observable(pauli_on(2, 0, PAULI_Z))
-        res = run_blind_estimation(u, obs, 150, seed=9, record_transcript=True)
-        assert len(res.transcript) == 150
-        rounds = [e.round for e in res.transcript]
-        assert rounds == sorted(rounds)
-        entry = res.transcript[0].to_json()
-        assert set(entry) == {"round", "client_action", "server_report", "client_side_data"}
+        res = run_blind_estimation(u, obs, 150, seed=9)
+        assert res.reported.shape == res.b_bits.shape == (150,)
+        assert set(res.reported.tolist()) <= {-1.0, 1.0} and set(res.b_bits.tolist()) <= {0, 1}
+        kept = res.b_bits == 0
+        assert res.kept_rounds == kept.sum() and res.keep_fraction == kept.mean()
+        assert res.client_estimate == res.reported[kept].mean()
+        assert res.all_rounds_mean == res.reported.mean()
 
-    def test_result_and_transcript_json(self):
+    def test_result_and_transcript_json(self, tmp_path):
         u = haar_unitary(4, child_rng(116))
         obs = Observable(pauli_on(2, 0, PAULI_Z))
-        res = run_blind_estimation(u, obs, 150, seed=9, record_transcript=True)
+        res = run_blind_estimation(u, obs, 150, seed=9)
         scalars = (
             "client_estimate", "truth", "all_rounds_mean", "all_rounds_truth", "keep_fraction",
             "rounds", "kept_rounds", "kept_std", "server_view_deviation",
         )
         assert res.to_json() == {name: getattr(res, name) for name in scalars}
         assert res.to_json()["rounds"] == 150
-        last = res.transcript[-1]
-        assert last.to_json() == {
-            "round": 149,
-            "client_action": "transmit_state_and_measure_b",
-            "server_report": last.server_report,
-            "client_side_data": last.client_side_data,
-        }
-        assert last.server_report in (-1.0, 1.0) and last.client_side_data in (0, 1)
+        path = tmp_path / "transcript.jsonl"
+        write_transcript(path, res)
+        last = path.read_text().splitlines()[-1]
+        assert last == json.dumps(
+            {
+                "client_action": "transmit_state_and_measure_b",
+                "client_side_data": int(res.b_bits[-1]),
+                "round": 149,
+                "server_report": float(res.reported[-1]),
+            },
+            sort_keys=True,
+        )
 
     def test_round_floor(self):
         obs = Observable(PAULI_Z)
@@ -132,15 +140,11 @@ class TestBlindEstimation:
             run_blind_estimation(np.eye(4), Observable(PAULI_Z), 200, seed=10)
 
     def test_transcript_jsonl(self, tmp_path):
-        import json
-
-        from puriscope.crypto import write_transcript
-
         u = haar_unitary(4, child_rng(118))
         obs = Observable(pauli_on(2, 0, PAULI_Z))
-        res = run_blind_estimation(u, obs, 120, seed=15, record_transcript=True)
+        res = run_blind_estimation(u, obs, 120, seed=15)
         path = tmp_path / "transcript.jsonl"
-        write_transcript(path, res.transcript)
+        write_transcript(path, res)
         lines = path.read_text().splitlines()
         assert len(lines) == 120
         first = json.loads(lines[0])

@@ -742,7 +742,7 @@ class TestQfiOracleMatchesDenseReference:
             u = haar_unitary(2 ** nA, rng)
             w = rng.dirichlet(np.ones(rank))
             psi = purify(DensityMatrix((u[:, :rank] * w) @ u[:, :rank].conj().T, nA), nB)
-            a_side = schmidt_decompose(psi).a_side
+            a_side = schmidt_decompose(psi)
             assert a_side.eigenvectors.shape == (2 ** nA, min(2 ** nA, 2 ** nB))
             obs = random_hermitian(nA, rng)
             for mode in ("support_only", "full"):

@@ -102,6 +102,60 @@ def test_every_public_name_is_read_in_src():
     assert sorted(INPUTS - unread) == []  # an input that gained a reader leaves the list
 
 
+# Public members that no module of the package reads, each kept on purpose.
+MEMBER_INPUTS = {
+    "channels.py:QuantumChannel.unitarity",  # the Choi-purity reference unitarity_estimate is graded against
+    "ensembles.py:EnsembleSpec.declared_rank",  # the declared rank an oracle-free protocol will read
+}
+
+
+def test_every_public_member_is_read_in_src():
+    # A public method or property of a src/ class is read as an attribute by
+    # some module other than __init__.py, or is a named input.  The check is
+    # by name alone: a member whose name another class's member shares (to_json,
+    # apply) counts as read when either is, so such a member needs its own look.
+    trees = _src_trees()
+    members = {
+        f"{module}:{node.name}.{item.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+    }
+    del trees["__init__.py"]
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert sorted(m for m in members if m.rpartition(".")[2] not in read) == sorted(MEMBER_INPUTS)
+
+
+# Every keyword-only parameter in src/, as module:function:parameter.  A new
+# option fails here until it is added on purpose.
+KEYWORD_ONLY = {
+    "crypto.py:run_verification:client_shots",
+    "estimators.py:oracle_identity_check:t",
+    "estimators.py:oracle_identity_check:pair",
+    "estimators.py:oracle_identity_check:nA",
+    "estimators.py:_two_stage:spectral",
+    "estimators.py:_two_stage:joint",
+    "estimators.py:_two_stage:observable",
+    "estimators.py:_two_stage:terms",
+    "estimators.py:_two_stage:power",
+    "estimators.py:estimate_qfi:min_eigenvalue",
+    "estimators.py:estimate_qfi:min_gap",
+}
+
+
+def test_keyword_only_parameters_are_pinned():
+    found = {
+        f"{module}:{node.name}:{arg.arg}"
+        for module, tree in _src_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in node.args.kwonlyargs
+    }
+    assert sorted(found) == sorted(KEYWORD_ONLY)
+
+
 # The functions that draw outcomes or resample counts.  Every other shot
 # goes through measure_in_basis, so a new sampling path fails here until
 # it is routed through that choke point or named on purpose.

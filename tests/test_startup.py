@@ -19,7 +19,7 @@ SRC = str(pathlib.Path(puriscope.__file__).resolve().parents[1])
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SUBMODULES = ("core", "ensembles", "measurement", "estimators", "baselines", "channels", "crypto", "reports")
 EXPORTS = [
-    "DensityMatrix", "Observable", "PureState", "SchmidtDecomposition", "SpectralDecomposition",
+    "DensityMatrix", "Observable", "PureState", "SpectralDecomposition",
     "eigh", "matrix_power_trace", "partial_trace", "schmidt_decompose", "trace_norm",
     "EnsembleFamily", "EnsembleSpec", "LabeledSample", "analytic_mean_purity", "child_rng",
     "classical_correlate", "haar_unitary", "purify", "sample_ensemble",
@@ -32,7 +32,7 @@ EXPORTS = [
     "QuantumChannel", "StinespringIsometry", "amplitude_damping_channel", "canonicalize",
     "channel_pca_estimate", "depolarizing_channel", "random_channel", "unitarity_estimate",
     "unitary_channel", "virtual_distillation_estimate",
-    "BlindEstimationResult", "ServerKind", "ServerModel", "TranscriptEntry",
+    "BlindEstimationResult", "ServerKind", "ServerModel",
     "run_blind_estimation", "run_verification",
     "EstimatorReport",
 ]
