@@ -23,15 +23,16 @@ from .core import (
     eigh,
     kron_all,
 )
+from .ensembles import _ginibre
 from .errors import DimensionError, DomainError, GuardError, InsufficientDataError, ValidationError
 
 TOMOGRAPHY_GUARD = 64  # largest dimension tomography reconstructs
 _BOOTSTRAP_RESAMPLES = 200  # multinomial resamples per bootstrap_stderr call
-# Randomized measurements hold one chunk of _FRAME_CHUNK Ginibre frame entries
-# at a time, as their real parts (2 MiB) and outcome probabilities, and one QR
-# block of _QR_BLOCK entries (256 KiB complex) with its outcome counts.
-_FRAME_CHUNK = 2 ** 18
-_QR_BLOCK = 2 ** 14
+# Randomized measurements sample one block of frames at a time: per block, the
+# real parts, then the imaginary parts of its Ginibre frames, then one uniform
+# per shot.  A block holds about _RM_BLOCK bytes of complex frame entries (16
+# bytes each) or of shot-outcome comparisons (1 byte each), whichever is more.
+_RM_BLOCK = 2 ** 17
 
 # Eigenbases of X, Y and Z (columns), stacked: one qubit's tomography settings.
 _PAULI_BASES = np.array(
@@ -174,8 +175,6 @@ class TomographyResult:
 
     estimate: DensityMatrix
     raw_shots: int
-    basis_settings: int
-    linear_inversion: np.ndarray = field(repr=False)
     setting_counts: np.ndarray = field(repr=False)
 
 
@@ -224,8 +223,9 @@ def tomography(state: StateLike, shots: int, rng: np.random.Generator) -> Tomogr
     One :func:`measure_in_basis` call on the stack of X, Y and Z eigenbases
     per qubit draws all 3**m product-Pauli settings, the shots split evenly
     over them.  The estimate is the raw linear-inversion matrix's one eigh
-    with its eigenvalues clipped at 0 and renormalised; the raw matrix is
-    kept alongside so callers can bootstrap derived functionals.  A
+    with its eigenvalues clipped at 0 and renormalised; the count table is
+    kept alongside so callers can bootstrap derived functionals, and
+    ``_shadow_inverse(setting_counts)`` rebuilds the raw matrix.  A
     0-qubit state draws no shots.
     """
     m = state.n
@@ -244,8 +244,6 @@ def tomography(state: StateLike, shots: int, rng: np.random.Generator) -> Tomogr
             SpectralDecomposition(_psd_weights(spectrum.eigenvalues), spectrum.eigenvectors), m
         ),
         raw_shots=int(counts.sum()),
-        basis_settings=len(counts),
-        linear_inversion=raw,
         setting_counts=counts,
     )
 
@@ -288,13 +286,13 @@ def _rm_purity_estimates(
     Rotating the measurement basis by Haar U is distributionally the same
     as rotating the state's support frame, so a d x r Ginibre QR per
     setting replaces the full d x d unitary; the QR columns are the first
-    r columns of a Haar unitary at any rank r <= d.  A chunk of
-    ``_FRAME_CHUNK`` entries draws its frames' real parts, and each QR
-    block of ``_QR_BLOCK`` entries its imaginary parts; after the chunk's
-    last block its outcomes are drawn block by block, each reduced to its
-    collision counts at once.  The draws consume the generator exactly as
-    whole-chunk draws would, and memory stays bounded at any rank and
-    budget.
+    r columns of a Haar unitary at any rank r <= d.  Frames are sampled
+    in blocks of about ``_RM_BLOCK`` bytes.  Each block draws its frames'
+    real parts, then their imaginary parts, then one uniform u per shot;
+    a shot's outcome is the first whose cumulative Born weight exceeds
+    u times the total (inverse CDF), and the block is reduced to its
+    collision counts before the next.  Memory stays bounded at any rank
+    and number of unitaries.
     """
     if unitaries < 2:
         raise DomainError("need at least 2 random unitaries")
@@ -304,23 +302,19 @@ def _rm_purity_estimates(
     m = shots_per_unitary
     _, weights = state.spectral().support()
     r = weights.size
-    weights = weights / weights.sum()
-    per_draw = max(1, _FRAME_CHUNK // (d * r))
-    per_qr = max(1, _QR_BLOCK // (d * r))
+    per_block = max(1, _RM_BLOCK // (d * max(16 * r, m)))
     collisions = np.empty(unitaries)
-    frames = np.empty((min(per_qr, unitaries), d, r), dtype=complex)
-    for start in range(0, unitaries, per_draw):
-        real = rng.standard_normal((min(per_draw, unitaries - start), d, r))
-        probs = np.empty((len(real), d))
-        for block in range(0, len(real), per_qr):
-            z = frames[: len(real) - block]
-            z.real = real[block:block + len(z)]
-            z.imag = rng.standard_normal(z.shape)
-            q, _ = np.linalg.qr(z)
-            probs[block:block + len(z)] = np.abs(q) ** 2 @ weights
-        probs /= probs.sum(axis=1, keepdims=True)
-        for block in range(0, len(probs), per_qr):
-            counts = rng.multinomial(m, probs[block:block + per_qr])
-            pairs = np.einsum("ij,ij->i", counts, counts) - m
-            collisions[start + block:start + block + len(counts)] = pairs / (m * (m - 1))
+    for start in range(0, unitaries, per_block):
+        frames = min(per_block, unitaries - start)
+        q, _ = np.linalg.qr(_ginibre((frames, d, r), rng))
+        cdf = np.cumsum(np.abs(q) ** 2 @ weights, axis=1)
+        u = rng.random((frames, m))
+        # A shot's outcome counts the cumulative weights, the last left out,
+        # at or below u * total; offsetting frame i's outcomes by i * d lets
+        # one bincount tally the whole block.
+        outcomes = (cdf[:, None, :-1] <= (u * cdf[:, -1:])[..., None]).sum(axis=2)
+        outcomes += d * np.arange(frames)[:, None]
+        counts = np.bincount(outcomes.ravel(), minlength=frames * d).reshape(frames, d)
+        pairs = np.einsum("ij,ij->i", counts, counts) - m
+        collisions[start:start + frames] = pairs / (m * (m - 1))
     return (d + 1) * collisions - 1.0

@@ -165,7 +165,7 @@ SAMPLING_SITES = {
     "measurement.py:bootstrap_stderr",
     "measurement.py:measure_in_basis",
 }
-SAMPLERS = {"binomial", "choice", "multinomial"}
+SAMPLERS = {"binomial", "choice", "multinomial", "random"}
 
 
 class _SamplerCalls(ast.NodeVisitor):
