@@ -83,23 +83,15 @@ def _steer(state: JointState, nA: int, nB: int, b_operator: np.ndarray) -> np.nd
     """Tr_B[ state (I_A (x) M_B) ] = sum_j w_j C_j M^T C_j^dag over the spectral blocks C_j."""
     dA, dB = 2 ** nA, 2 ** nB
     c, w = _blocks(state, dA)
-    m = np.asarray(b_operator, dtype=complex)
-    steered = (c.reshape(-1, dB) @ m.T).reshape(c.shape) * w[:, None]
+    steered = (c.reshape(-1, dB) @ b_operator.T).reshape(c.shape) * w[:, None]
     return steered.reshape(dA, -1) @ c.reshape(dA, -1).conj().T
 
 
-def _expectation_weights(joint: JointState, a_operator: Union[Observable, np.ndarray]) -> np.ndarray:
+def _expectation_weights(joint: JointState, a_operator: Observable) -> np.ndarray:
     """X = sum_j w_j C_j^dag A C_j, so Tr[joint (A (x) g)] = sum(X * g) for every g."""
-    dA = a_operator.dim if isinstance(a_operator, Observable) else len(a_operator)
-    c, w = _blocks(joint, dA)
-    moved = (a_operator @ c.reshape(dA, -1)).reshape(-1, c.shape[2])
+    c, w = _blocks(joint, a_operator.dim)
+    moved = (a_operator @ c.reshape(a_operator.dim, -1)).reshape(-1, c.shape[2])
     return (c * w[:, None]).conj().reshape(-1, c.shape[2]).T @ moved
-
-
-def bipartite_expectation(psi: JointState, a_operator: Union[Observable, np.ndarray], b_operator: np.ndarray) -> float:
-    """Tr[ psi (A (x) B) ] for a pure or mixed joint state, without the Kronecker product."""
-    x = _expectation_weights(psi, a_operator)
-    return float(np.real(np.sum(x * np.asarray(b_operator, dtype=complex))))
 
 
 def oracle_identity_check(
@@ -212,7 +204,7 @@ def _two_stage(
     tomo = tomography(rho_b, budget.tomography_shots, child_rng(seed, 0))
     spec = tomo.estimate.spectral()
     measured = terms(spec)
-    shots_used = {"tomography": tomo.raw_shots}
+    shots_used = {"tomography": int(tomo.setting_counts.sum())}
     means: list[float] = []
     shot_var = 0.0
     weights = None
@@ -345,9 +337,8 @@ def eigenstate_factor_exact(
     The tensor decomposition turns the two-copy expectation into the two
     single-copy expectations M+ and M-, combined as (M+^2 + M-^2) / 2.
     """
-    plus, minus = flip_observables(vec_j, vec_k)
-    m_plus = bipartite_expectation(psi, observable, plus)
-    m_minus = bipartite_expectation(psi, observable, minus)
+    x = _expectation_weights(psi, observable)
+    m_plus, m_minus = (float(np.real(np.sum(x * g))) for g in flip_observables(vec_j, vec_k))
     return 0.5 * (m_plus ** 2 + m_minus ** 2)
 
 

@@ -7,10 +7,9 @@ given (inputs, seed).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -66,21 +65,20 @@ class ShotBudget:
         return ShotBudget(tomography_shots=tomo, observable_shots=total - tomo)
 
 
-def born_probabilities(state: StateLike, basis: Union[np.ndarray, tuple]) -> np.ndarray:
+def born_probabilities(state: StateLike, basis: tuple) -> np.ndarray:
     """Outcome probabilities for measuring in the given orthonormal basis.
 
-    ``basis`` is one unitary or a tuple of tensor factors, leftmost factor
-    most significant.  A factor may also be a (k, d_i, d_i) stack of
+    ``basis`` is a tuple of tensor factors, leftmost factor most
+    significant.  A factor may also be a (k, d_i, d_i) stack of
     alternative bases: each stack adds a setting axis of length k to the
     result, in factor order, ahead of the outcome axis.  The state's
     support columns are rotated factor by factor, so a product basis is
     never formed as one matrix.
     """
-    factors = basis if isinstance(basis, tuple) else (basis,)
-    factors = [np.asarray(f, dtype=complex) for f in factors]
+    factors = [np.asarray(f, dtype=complex) for f in basis]
     settings = tuple(f.shape[0] for f in factors if f.ndim == 3)
     dims = [f.shape[-1] for f in factors]
-    if math.prod(dims) != state.dim:
+    if any(f.ndim < 2 for f in factors) or math.prod(dims) != state.dim:
         raise DimensionError(f"basis dimension {math.prod(dims)} != state dimension {state.dim}")
     columns, weights = state.spectral().support()
     t = columns.reshape(dims + [-1])
@@ -95,9 +93,7 @@ def born_probabilities(state: StateLike, basis: Union[np.ndarray, tuple]) -> np.
     return p / p.sum(axis=-1, keepdims=True)
 
 
-def measure_in_basis(
-    state: StateLike, basis: Union[np.ndarray, tuple], shots: int, rng: np.random.Generator
-) -> np.ndarray:
+def measure_in_basis(state: StateLike, basis: tuple, shots: int, rng: np.random.Generator) -> np.ndarray:
     """Histogram of computational outcomes after rotating into ``basis``.
 
     ``basis`` is as in :func:`born_probabilities`.  Returns an integer
@@ -128,40 +124,30 @@ def _mean_stderr(counts: np.ndarray, values: np.ndarray) -> tuple[float, float]:
 
 def measure_observable_with_stderr(
     state: StateLike,
-    observable: Union[Observable, np.ndarray, tuple],
+    observable: tuple[Observable, list],
     shots: int,
     rng: np.random.Generator,
-) -> Union[tuple[float, float], tuple[list[float], list[float], list[int]]]:
-    """Mean and standard error of the shot-sampled observable estimate.
+) -> tuple[list[float], list[float], list[int]]:
+    """Means, standard errors and shot counts of O (x) g_i for every g_i in one stacked draw.
 
-    A tuple of factor observables measures their tensor product (leftmost
-    factor most significant) in the product of their eigenbases, expanded
-    into every factor's basis factors, so a per-qubit observable rotates
-    one qubit at a time; each outcome's value is the product of the
-    factors' eigenvalues.  The tuple's last factor may be a list of K
-    observables of one dimension: one stacked draw measures each in its
-    own eigenbasis, the shots split evenly over them as in
-    :func:`measure_in_basis`, and the call returns the K means, standard
-    errors and shot counts as three lists.
+    ``observable`` is (O, [g_1, ..., g_K]), the g_i Hermitian matrices of
+    one dimension.  O's basis factors rotate the state first, so a
+    per-qubit O rotates one qubit at a time; the stack of the g_i's
+    eigenbases is the last factor, with the shots split evenly over it as
+    in :func:`measure_in_basis`.  Each outcome's value is the product of
+    O's and g_i's eigenvalues.
     """
-    *head, last = observable if isinstance(observable, tuple) else (observable,)
-    stacked = isinstance(last, (list, tuple))
-    factors = [
-        f if isinstance(f, Observable) else Observable(f) for f in (*head, *(last if stacked else [last]))
-    ]
-    head, members = factors[:len(head)], factors[len(head):]
+    head, gs = observable
+    members = [Observable(g) for g in gs]
     if len({g.dim for g in members}) != 1:
         raise DimensionError(f"stacked observables need one dimension, got {[g.dim for g in members]}")
-    # The stack is the last factor, so the head rotates the state as an
-    # unstacked call does; measure_in_basis checks the shots and dimension.
-    tail = (np.stack([kron_all(*g.basis) for g in members]),) if stacked else members[0].basis
-    counts = measure_in_basis(state, (*(b for f in head for b in f.basis), *tail), shots, rng)
-    counts = counts.reshape(len(members), -1)
+    stack = np.stack([kron_all(*g.basis) for g in members])
+    counts = measure_in_basis(state, (*head.basis, stack), shots, rng).reshape(len(members), -1)
     means, stderrs = zip(*(
-        _mean_stderr(c, functools.reduce(np.multiply.outer, [f.eigenvalues for f in (*head, g)]).ravel())
+        _mean_stderr(c, np.multiply.outer(head.eigenvalues, g.eigenvalues).ravel())
         for c, g in zip(counts, members)
     ))
-    return (list(means), list(stderrs), counts.sum(axis=1).tolist()) if stacked else (means[0], stderrs[0])
+    return list(means), list(stderrs), counts.sum(axis=1).tolist()
 
 
 @dataclass(frozen=True)
@@ -174,7 +160,6 @@ class TomographyResult:
     """
 
     estimate: DensityMatrix
-    raw_shots: int
     setting_counts: np.ndarray = field(repr=False)
 
 
@@ -243,7 +228,6 @@ def tomography(state: StateLike, shots: int, rng: np.random.Generator) -> Tomogr
         estimate=DensityMatrix.from_spectrum(
             SpectralDecomposition(_psd_weights(spectrum.eigenvalues), spectrum.eigenvectors), m
         ),
-        raw_shots=int(counts.sum()),
         setting_counts=counts,
     )
 

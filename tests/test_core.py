@@ -267,7 +267,7 @@ def test_support_readers_drop_an_eigenvalue_below_the_rank_tolerance():
     # eigenvalues 0.6, 0.4 and 1e-12 (below 1e-9 * 0.6) on |00>, |01>, |10>
     rho = DensityMatrix(np.diag([0.6, 0.4 - 1e-12, 1e-12, 0.0]).astype(complex), 2)
     assert rho.rank() == 2
-    np.testing.assert_array_equal(born_probabilities(rho, np.eye(4))[2:], 0.0)
+    np.testing.assert_array_equal(born_probabilities(rho, (np.eye(4),))[2:], 0.0)
     assert purify(rho, 1).nB == 1  # two ancilla levels hold the support
     # X on qubit 0 couples |00> only to |10>, so no support pair sees it
     x0 = Observable.from_factors([PAULI_X, PAULI_I])
@@ -787,8 +787,9 @@ class TestOneSpectralPath:
         a_op = rng.standard_normal((dA, dA)) + 1j * rng.standard_normal((dA, dA))
         steered = _steer(state, nA, n - nA, b_op)
         assert np.abs(steered - _einsum_steer(matrix, dA, dB, b_op)).max() < 1e-12
-        weights = _expectation_weights(state, a_op)
-        assert np.abs(weights - _einsum_expectation_weights(matrix, a_op)).max() < 1e-12
+        a_obs = Observable((a_op + a_op.conj().T) / 2)
+        weights = _expectation_weights(state, a_obs)
+        assert np.abs(weights - _einsum_expectation_weights(matrix, a_obs.matrix)).max() < 1e-12
 
     def test_signed_weights_below_rank_tolerance_still_trace_exactly(self):
         rho = _dense_with_small_eigenvalues(3, child_rng(193))

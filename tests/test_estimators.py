@@ -36,13 +36,9 @@ from puriscope.errors import (
     InsufficientDataError,
     PreconditionError,
 )
-from puriscope.estimators import (
-    bipartite_expectation,
-    eigenstate_factor_exact,
-    flip_observables,
-)
+from puriscope.estimators import eigenstate_factor_exact, flip_observables
 from puriscope import estimators, measurement
-from puriscope.measurement import measure_observable_with_stderr, tomography
+from puriscope.measurement import _mean_stderr, measure_in_basis, measure_observable_with_stderr, tomography
 from puriscope.reports import EstimatorReport
 
 BELL = PureState(np.array([1, 0, 0, 1]) / np.sqrt(2), 1, 1)
@@ -324,7 +320,7 @@ class TestEstimateQfi:
         stage2 = child_rng(seed, 1)
         parts = []
         for flip in flip_observables(spec.eigenvectors[:, 0], spec.eigenvectors[:, 1]):
-            mean, se = measure_observable_with_stderr(psi, (obs, flip), 2_000, stage2)
+            [mean], [se], _ = measure_observable_with_stderr(psi, (obs, [flip]), 2_000, stage2)
             parts.append(2 * prefactor * mean * se)
         assert np.isfinite(report.stderr)
         assert report.stderr > np.hypot(*parts)
@@ -393,9 +389,9 @@ class TestProductStageTwo:
             h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             for g in flip_observables(v[:, 0], v[:, 1]):
                 nudged = g + 1e-15 * (h + h.conj().T) / 2
-                first = measure_observable_with_stderr(psi, (obs, g), 500, child_rng(132, trial))
-                second = measure_observable_with_stderr(psi, (obs, nudged), 500, child_rng(132, trial))
-                assert abs(first[0] - second[0]) < 1e-12
+                [first], _, _ = measure_observable_with_stderr(psi, (obs, [g]), 500, child_rng(132, trial))
+                [second], _, _ = measure_observable_with_stderr(psi, (obs, [nudged]), 500, child_rng(132, trial))
+                assert abs(first - second) < 1e-12
 
 
 def rank3_purification(nA=3, nB=2, seed=133):
@@ -430,7 +426,9 @@ class TestStackedStageTwo:
         assert drawn == [each] * terms and report.shots_used["observable"] == shots
         rng = child_rng(seed, 1)
         for g, mean, stderr in zip(gs, means, stderrs):
-            replay = measure_observable_with_stderr(state, (obs, g), each, rng)
+            g = Observable(g)
+            counts = measure_in_basis(state, (*obs.basis, *g.basis), each, rng)
+            replay = _mean_stderr(counts, np.multiply.outer(obs.eigenvalues, g.eigenvalues).ravel())
             assert (mean.hex(), stderr.hex()) == (replay[0].hex(), replay[1].hex())
 
     @pytest.mark.parametrize("kind, rank", [("cooling", 3), ("qfi", 2), ("qfi", 3)])
@@ -615,16 +613,18 @@ class TestFlipObservables:
             assert np.abs(m - m.conj().T).max() < 1e-12
             assert abs(np.abs(np.linalg.eigvalsh(m)).max() - 1.0) < 1e-12
 
-    def test_bipartite_expectation_matches_kron(self):
+    def test_eigenstate_factor_exact_matches_kron(self):
         rng = child_rng(82)
         psi = purify(rank2_state(2, rng), 1)
         z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         a_op = (z + z.conj().T) / 2
-        y = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b_op = (y + y.conj().T) / 2
-        fast = bipartite_expectation(psi, a_op, b_op)
-        full = float(np.real(psi.amplitudes.conj() @ np.kron(a_op, b_op) @ psi.amplitudes))
-        assert abs(fast - full) < 1e-12
+        v = haar_unitary(2, rng)
+        fast = eigenstate_factor_exact(psi, Observable(a_op), v[:, 0], v[:, 1])
+        m_plus, m_minus = (
+            float(np.real(psi.amplitudes.conj() @ np.kron(a_op, flip) @ psi.amplitudes))
+            for flip in flip_observables(v[:, 0], v[:, 1])
+        )
+        assert abs(fast - 0.5 * (m_plus ** 2 + m_minus ** 2)) < 1e-12
 
 
 def dense_qfi_oracle(rho, observable, mode):

@@ -30,6 +30,7 @@ from puriscope.measurement import (
     _rm_purity_estimates,
     _shadow_inverse,
     born_probabilities,
+    _mean_stderr,
     bootstrap_stderr,
     measure_observable_with_stderr,
 )
@@ -50,10 +51,16 @@ def per_setting_probabilities(state, m):
     """
     return np.stack(
         [
-            born_probabilities(state, kron_all(*(_PAULI_BASES["XYZ".index(p)] for p in setting)))
+            born_probabilities(state, (kron_all(*(_PAULI_BASES["XYZ".index(p)] for p in setting)),))
             for setting in itertools.product("XYZ", repeat=m)
         ]
     )
+
+
+def measure_one(state, observable, shots, rng):
+    """Mean and stderr of one Observable on the whole register, a 1 x 1 factor in the stack."""
+    means, stderrs, _ = measure_observable_with_stderr(state, (observable, [np.eye(1)]), shots, rng)
+    return means[0], stderrs[0]
 
 
 class TestShotBudget:
@@ -78,16 +85,16 @@ class TestMeasureObservable:
     def test_identity_is_exact(self):
         state = PureState(np.array([1, 1j]) / np.sqrt(2), 1)
         for shots in (1, 7, 100):
-            val = measure_observable_with_stderr(state, np.eye(2, dtype=complex), shots, child_rng(1))[0]
+            val = measure_one(state, Observable(np.eye(2, dtype=complex)), shots, child_rng(1))[0]
             assert val == 1.0
 
     def test_deterministic_outcome(self):
         state = PureState(np.array([1.0, 0]), 1)
-        assert measure_observable_with_stderr(state, PAULI_Z, 50, child_rng(2))[0] == 1.0
+        assert measure_one(state, Observable(PAULI_Z), 50, child_rng(2))[0] == 1.0
 
     def test_plus_state_centered(self):
         state = PureState(np.array([1, 1]) / np.sqrt(2), 1)
-        val = measure_observable_with_stderr(state, PAULI_Z, 100_000, child_rng(3))[0]
+        val = measure_one(state, Observable(PAULI_Z), 100_000, child_rng(3))[0]
         assert abs(val) < 0.02
 
     def test_unbiased_against_oracle(self):
@@ -97,7 +104,7 @@ class TestMeasureObservable:
         obs = Observable((z + z.conj().T) / 2)
         truth = np.trace(obs.matrix @ rho.matrix).real
         runs = np.array(
-            [measure_observable_with_stderr(rho, obs, 500, child_rng(4, k))[0] for k in range(200)]
+            [measure_one(rho, obs, 500, child_rng(4, k))[0] for k in range(200)]
         )
         se = runs.std(ddof=1) / np.sqrt(200)
         assert abs(runs.mean() - truth) < 3 * se
@@ -106,18 +113,19 @@ class TestMeasureObservable:
 
     def test_dimension_mismatch(self):
         state = PureState(np.array([1.0, 0]), 1)
-        for observable in (np.eye(4, dtype=complex), (PAULI_Z, PAULI_Z)):
+        for head, g in ((np.eye(4, dtype=complex), np.eye(1)), (PAULI_Z, PAULI_Z)):
             with pytest.raises(DimensionError):
-                measure_observable_with_stderr(state, observable, 10, child_rng(5))
+                measure_observable_with_stderr(state, (Observable(head), [g]), 10, child_rng(5))
         with pytest.raises(DimensionError):
             measure_in_basis(state, (np.eye(2), np.eye(2)), 10, child_rng(5))
 
     def test_product_outcomes_are_eigenvalue_products(self):
         # |0>|+> is an eigenstate of Z (x) X with eigenvalue +1, of Z (x) Z with mean 0.
         state = PureState(np.array([1, 1, 0, 0]) / np.sqrt(2), 2)
-        mean, se = measure_observable_with_stderr(state, (PAULI_Z, PAULI_X), 50, child_rng(39))
-        assert (mean, se) == (1.0, 0.0)
-        mean, _ = measure_observable_with_stderr(state, (PAULI_Z, PAULI_Z), 20_000, child_rng(40))
+        z = Observable(PAULI_Z)
+        means, stderrs, _ = measure_observable_with_stderr(state, (z, [PAULI_X]), 50, child_rng(39))
+        assert (means, stderrs) == ([1.0], [0.0])
+        [mean], _, _ = measure_observable_with_stderr(state, (z, [PAULI_Z]), 20_000, child_rng(40))
         assert abs(mean) < 0.03
 
     def test_product_matches_dense_expectation(self):
@@ -126,13 +134,15 @@ class TestMeasureObservable:
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         a = (a + a.conj().T) / 2
         truth = np.trace(np.kron(a, PAULI_Y) @ rho.matrix).real
-        mean, se = measure_observable_with_stderr(rho, (Observable(a), PAULI_Y), 40_000, child_rng(42))
+        [mean], [se], _ = measure_observable_with_stderr(
+            rho, (Observable(a), [PAULI_Y]), 40_000, child_rng(42)
+        )
         assert abs(mean - truth) < 4 * se
 
     def test_zero_shots(self):
         state = PureState(np.array([1.0, 0]), 1)
         with pytest.raises(DomainError):
-            measure_observable_with_stderr(state, PAULI_Z, 0, child_rng(6))
+            measure_one(state, Observable(PAULI_Z), 0, child_rng(6))
 
     def test_stack_of_one_equals_unstacked_call(self):
         rng = child_rng(43)
@@ -140,14 +150,16 @@ class TestMeasureObservable:
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         g = (g + g.conj().T) / 2
         obs = Observable.from_factors([PAULI_X, PAULI_Z])
-        single = measure_observable_with_stderr(rho, (obs, g), 999, child_rng(44))
         means, stderrs, shots = measure_observable_with_stderr(rho, (obs, [g]), 999, child_rng(44))
+        g = Observable(g)
+        counts = measure_in_basis(rho, (*obs.basis, *g.basis), 999, child_rng(44))
+        single = _mean_stderr(counts, np.multiply.outer(obs.eigenvalues, g.eigenvalues).ravel())
         assert (means, stderrs, shots) == ([single[0]], [single[1]], [999])
 
     def test_stack_splits_shots_evenly_over_members(self):
         state = PureState(np.array([1, 1, 0, 0]) / np.sqrt(2), 2)
         means, stderrs, shots = measure_observable_with_stderr(
-            state, (PAULI_Z, [PAULI_X, PAULI_Z, np.eye(2)]), 100, child_rng(45)
+            state, (Observable(PAULI_Z), [PAULI_X, PAULI_Z, np.eye(2)]), 100, child_rng(45)
         )
         # |0>|+>: Z (x) X and Z (x) I are sharp at +1; Z (x) Z has mean 0
         assert shots == [34, 33, 33]
@@ -157,18 +169,29 @@ class TestMeasureObservable:
     def test_stack_members_must_share_dimension(self):
         state = PureState(np.array([1, 0, 0, 0, 0, 0, 0, 0]), 3)
         with pytest.raises(DimensionError):
-            measure_observable_with_stderr(state, (PAULI_Z, [np.eye(4), PAULI_X]), 10, child_rng(46))
+            measure_observable_with_stderr(
+                state, (Observable(PAULI_Z), [np.eye(4), PAULI_X]), 10, child_rng(46)
+            )
 
 
 class TestMeasureInBasis:
+    def test_lone_matrix_basis_is_a_dimension_error(self):
+        # The basis is a tuple of factors; a bare matrix is not one, whatever its size.
+        state = PureState(np.array([1.0, 0, 0, 0]), 2)
+        for basis in (np.eye(4, dtype=complex), HADAMARD):
+            with pytest.raises(DimensionError):
+                born_probabilities(state, basis)
+            with pytest.raises(DimensionError):
+                measure_in_basis(state, basis, 10, child_rng(7))
+
     def test_computational_on_ground(self):
         state = PureState(np.array([1.0, 0, 0, 0]), 2)
-        counts = measure_in_basis(state, np.eye(4, dtype=complex), 100, child_rng(7))
+        counts = measure_in_basis(state, (np.eye(4, dtype=complex),), 100, child_rng(7))
         assert counts[0] == 100
 
     def test_hadamard_on_plus(self):
         state = PureState(np.array([1, 1]) / np.sqrt(2), 1)
-        counts = measure_in_basis(state, HADAMARD, 100, child_rng(8))
+        counts = measure_in_basis(state, (HADAMARD,), 100, child_rng(8))
         assert counts[0] == 100
 
     def test_total_variation_concentrates(self):
@@ -180,7 +203,7 @@ class TestMeasureInBasis:
             3,
         )
         basis = haar_unitary(8, rng)
-        counts = measure_in_basis(state, basis, 100_000, child_rng(10))
+        counts = measure_in_basis(state, (basis,), 100_000, child_rng(10))
         born = np.abs(basis.conj().T @ state.amplitudes) ** 2
         tv = 0.5 * np.abs(counts / 100_000 - born).sum()
         assert tv < 0.05
@@ -232,7 +255,7 @@ class TestTomography:
         result = tomography(rho, 10_000, child_rng(11))
         assert trace_norm(result.estimate.matrix - rho.matrix) <= 0.1
         assert len(result.setting_counts) == 3
-        assert result.raw_shots == 10_000
+        assert int(result.setting_counts.sum()) == 10_000
 
     def test_maximally_mixed_recovery(self):
         rho = DensityMatrix(np.eye(2) / 2, 1)
@@ -292,7 +315,7 @@ class TestTomography:
         np.testing.assert_array_equal(_shadow_inverse(np.zeros((1, 1))), [[1.0]])
         result = tomography(DensityMatrix(np.ones((1, 1)), 0), 100, child_rng(40))
         np.testing.assert_array_equal(result.estimate.matrix, [[1.0]])
-        assert result.raw_shots == 0
+        assert int(result.setting_counts.sum()) == 0
 
     def test_one_qubit_counts_give_bloch_vector(self):
         counts = np.array([[70, 30], [45, 55], [90, 10]])  # X, Y, Z settings
@@ -464,6 +487,6 @@ class TestBootstrap:
 
     def test_stderr_reports_spread(self):
         state = PureState(np.array([1, 1]) / np.sqrt(2), 1)
-        mean, se = measure_observable_with_stderr(state, PAULI_Z, 10_000, child_rng(35))
+        mean, se = measure_one(state, Observable(PAULI_Z), 10_000, child_rng(35))
         assert abs(mean) < 0.05
         assert 0.005 < se < 0.015
