@@ -24,7 +24,7 @@ Conventions used throughout the package:
   benchmark read ``Observable.matrix``.
 * Ranks count the eigenvalues above the fixed ``DEFAULT_RANK_TOL``
   (1e-9) relative to the largest magnitude.
-* ``trace_norm`` is the un-halved trace norm ``sum |eigenvalues|``; all
+* ``trace_norm`` is the un-halved trace norm, the sum of singular values; all
   perturbation-bound checks use that convention.
 """
 
@@ -370,8 +370,9 @@ class Observable:
         ||m - K||_F is within _FACTOR_RTOL of ||m||_F (by Weyl, the
         eigenvalues move no more) and max |m - K| is within half of eigh's
         Hermiticity tolerance: K is Hermitian, so m then passes eigh's check
-        too.  Sizes other than 2^n with n >= _FACTOR_MIN_QUBITS, and the
-        zero matrix, return None.
+        too.  Sizes other than 2^n with n >= _FACTOR_MIN_QUBITS, the zero
+        matrix and a matrix with a NaN entry (the pivot is the first NaN)
+        return None.
         """
         d = m.shape[0]
         n = d.bit_length() - 1
@@ -381,7 +382,7 @@ class Observable:
         hi, lo = int(parts.argmax()), int(parts.argmin())
         r, c = divmod((hi if parts[hi] >= -parts[lo] else lo) // 2, d)
         pivot = m[r, c]
-        if pivot == 0:
+        if pivot == 0 or not np.isfinite(pivot):
             return None
         bits = 1 << np.arange(n - 1, -1, -1)
         rows = (r & ~bits)[:, None] | bits[:, None] * [0, 1]
@@ -509,8 +510,5 @@ def matrix_power_trace(rho: DensityMatrix, t: int) -> float:
 
 
 def trace_norm(m: np.ndarray) -> float:
-    """Un-halved trace norm: sum of absolute eigenvalues (singular values)."""
-    m = np.asarray(m, dtype=complex)
-    if (h := _hermitian_part(m, 1e-8)) is not None:
-        return float(np.abs(np.linalg.eigvalsh(h)).sum())
-    return float(np.linalg.svd(m, compute_uv=False).sum())
+    """Un-halved trace norm: the sum of singular values (absolute eigenvalues for a Hermitian m)."""
+    return float(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False).sum())

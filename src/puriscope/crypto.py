@@ -19,7 +19,7 @@ import numpy as np
 from .core import DensityMatrix, Observable, PureState, basis_state, partial_trace, trace_norm
 from .ensembles import child_rng, verification_state, _haar_vector
 from .errors import DomainError
-from .measurement import born_probabilities, tomography
+from .measurement import _born_on_grid, tomography
 from .baselines import single_copy_purity_attack
 
 ALPHAS = (math.sqrt(0.9), math.sqrt(0.5))
@@ -168,7 +168,7 @@ def run_blind_estimation(
     view_deviation = trace_norm(server_view.matrix - mixture)
 
     # outcome index = 2 * (observable eigen-index) + B bit
-    probs = born_probabilities(psi_joint, (*observable.basis, np.eye(2)))
+    probs = _born_on_grid(psi_joint, (*observable.basis, np.eye(2)))
 
     rng = child_rng(seed, 0)
     draws = rng.choice(2 * d, size=rounds, p=probs)

@@ -93,6 +93,15 @@ def born_probabilities(state: StateLike, basis: tuple) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
+def _born_on_grid(state: StateLike, basis: tuple) -> np.ndarray:
+    """:func:`born_probabilities` snapped to a 2^-40 grid and renormalised.
+
+    Where they sit on the grid (the hard instances), a roundoff change of the state moves no draw.
+    """
+    probs = np.round(born_probabilities(state, basis) * 2 ** 40)
+    return probs / probs.sum(axis=-1, keepdims=True)
+
+
 def measure_in_basis(state: StateLike, basis: tuple, shots: int, rng: np.random.Generator) -> np.ndarray:
     """Histogram of computational outcomes after rotating into ``basis``.
 
@@ -100,14 +109,11 @@ def measure_in_basis(state: StateLike, basis: tuple, shots: int, rng: np.random.
     array of the probabilities' shape whose entries sum to ``shots``.  A
     stacked basis splits the shots evenly over its settings, the first
     ``shots % settings`` settings taking one more, and draws every
-    setting with one multinomial call.  The probabilities are snapped to
-    a 2^-40 grid and renormalised first, so where they sit on the grid
-    (the hard instances) a roundoff change of the state moves no count.
+    setting with one multinomial call on :func:`_born_on_grid`.
     """
     if shots < 1:
         raise DomainError("shots must be >= 1")
-    probs = np.round(born_probabilities(state, basis) * 2 ** 40)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs = _born_on_grid(state, basis)
     settings = probs.shape[:-1]
     per, extra = divmod(shots, math.prod(settings))
     shares = per + (np.arange(math.prod(settings)) < extra)

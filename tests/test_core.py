@@ -557,6 +557,10 @@ class TestDistances:
         w = np.linalg.eigvalsh(a.matrix - b.matrix)
         assert abs(trace_norm(a.spectral().reconstruct() - b.spectral().reconstruct()) - np.abs(w).sum()) < 1e-12
 
+    def test_small_anti_hermitian_residual_keeps_its_norm(self):
+        # Entries below 1e-8 do not make a matrix Hermitian: i 1e-9 I has trace norm 2e-9, not 0.
+        assert abs(trace_norm(1e-9j * np.eye(2)) - 2e-9) < 1e-24
+
 
 class TestObservable:
     def test_spectral_norm_cached(self):
@@ -566,6 +570,14 @@ class TestObservable:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):
             Observable(np.array([[0, 1], [0.5, 0]], dtype=complex))
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_rejects_nan(self, n):
+        # The embedded-Pauli recognition from 7 qubits on must not pass NaN on.
+        m = pauli_on(n, 0, PAULI_Z)
+        m[3, 3] = np.nan
+        with pytest.raises(ValidationError):
+            Observable(m)
 
     def test_embedded_pauli(self):
         z1 = pauli_on(3, 0, PAULI_Z)

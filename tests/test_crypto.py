@@ -13,6 +13,7 @@ from puriscope import (
     run_verification,
 )
 from puriscope.core import PAULI_X, PAULI_Z, pauli_on
+from puriscope import crypto, measurement
 from puriscope.crypto import write_transcript
 from puriscope.errors import DomainError
 
@@ -73,6 +74,17 @@ class TestBlindEstimation:
         assert abs(res.client_estimate - 0.3745173745173745) < 1e-12
         assert abs(res.all_rounds_mean - 0.234) < 1e-12
         assert res.kept_rounds == 1036
+
+    def test_rounds_draw_from_grid_snapped_probabilities(self, monkeypatch):
+        calls = []
+
+        def snapped(*args):
+            calls.append(args)
+            return measurement._born_on_grid(*args)
+
+        monkeypatch.setattr(crypto, "_born_on_grid", snapped)
+        res = run_blind_estimation(np.eye(4), Observable(pauli_on(2, 0, PAULI_Z)), 100, seed=3)
+        assert len(calls) == 1 and res.client_estimate == 1.0
 
     def test_blindness_of_server_view(self):
         u = haar_unitary(8, child_rng(114))
