@@ -15,16 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DensityMatrix, HADAMARD, Observable, PAULI_I, PAULI_X, PAULI_Z, matrix_power_trace
-from .ensembles import (
-    SEPARATION_PAIRS,
-    EnsembleFamily,
-    EnsembleSpec,
-    analytic_mean_purity,
-    child_rng,
-    purify,
-    sample_ensemble,
-)
+from .core import DensityMatrix, HADAMARD, Observable, PAULI_I, PAULI_X, _on_qubit0, matrix_power_trace
+from .ensembles import EnsembleSpec, child_rng, purify, sample_ensemble, separated_statistic
 from .errors import DomainError, GuardError
 from .estimators import estimate_moment, estimate_qfi, estimate_virtual_cooling, qfi_oracle
 from .measurement import ShotBudget, _mean_stderr, _rm_purity_estimates, measure_in_basis, tomography
@@ -141,19 +133,6 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return max(0.0, center - half), min(1.0, center + half)
 
 
-_FAMILY_GROUP = {family: kind for kind, pair in SEPARATION_PAIRS.items() for family in pair}
-
-
-def _analytic_statistic_mean(family: EnsembleFamily, n: int, kind: str) -> float:
-    if kind == "purity":
-        return analytic_mean_purity(EnsembleSpec(family, n))
-    if kind == "cooling":
-        return 0.125 if family is EnsembleFamily.VC_PCA_S1 else -0.125
-    # Support-QFI of the X-flip observable: 1/14 on the structured family,
-    # 0 on its Hadamard twin (large-n anchors).
-    return 1.0 / 14.0 if family is EnsembleFamily.FISHER_S1 else 0.0
-
-
 def _estimate_statistic(
     rho: DensityMatrix, kind: str, strategy: str, budget: int, seed: int
 ) -> float:
@@ -165,7 +144,7 @@ def _estimate_statistic(
             return estimate_moment(psi, 2, ShotBudget(tomography_shots=budget), seed).value
         return single_copy_purity_attack(rho, budget, seed).value
     if kind == "cooling":
-        z1 = Observable.from_factors([PAULI_Z] + [PAULI_I] * (n - 1))
+        z1 = _on_qubit0(n)
         if strategy == "purification":
             psi = purify(rho, 2)
             return estimate_virtual_cooling(psi, z1, 2, ShotBudget.split(budget), seed).value
@@ -173,7 +152,7 @@ def _estimate_statistic(
             raise GuardError("plug-in tomography arm is guarded to n <= 6")
         spec = tomography(rho, budget, child_rng(seed, 0)).estimate.spectral()
         return z1.expectation(spec.eigenvectors, spec.eigenvalues ** 2)  # Tr(rho_hat^2 Z)
-    x1 = Observable.from_factors([PAULI_X] + [PAULI_I] * (n - 1))
+    x1 = _on_qubit0(n, PAULI_X)
     if strategy == "purification":
         psi = purify(rho, 2)
         return estimate_qfi(
@@ -222,14 +201,12 @@ def distinguish_experiment(
     spec_a, spec_b = family_pair
     if spec_a.n != spec_b.n:
         raise DomainError("both families must share the qubit count")
-    kind = _FAMILY_GROUP.get(spec_a.family)
-    if kind is None or _FAMILY_GROUP.get(spec_b.family) != kind:
+    (kind, mean_a), (kind_b, mean_b) = separated_statistic(spec_a), separated_statistic(spec_b)
+    if kind_b != kind:
         raise DomainError(
             f"families {spec_a.family.value} / {spec_b.family.value} do not form a "
             "separable pairing"
         )
-    mean_a = _analytic_statistic_mean(spec_a.family, spec_a.n, kind)
-    mean_b = _analytic_statistic_mean(spec_b.family, spec_b.n, kind)
     threshold = 0.5 * (mean_a + mean_b)
 
     hits = 0

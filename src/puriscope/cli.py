@@ -45,7 +45,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .core import DensityMatrix, Observable, PAULI_I, PAULI_X, PAULI_Z
+from .core import DensityMatrix, PAULI_X, _on_qubit0
 from .ensembles import (
     SEPARATION_PAIRS,
     EnsembleFamily,
@@ -91,11 +91,6 @@ def _ancilla_for(rank: int, requested: Optional[int]) -> int:
 def _sample_state(n: int, rank: int, seed: int, trial: int):
     spec = EnsembleSpec(EnsembleFamily.RANDOM_RANK_R, n, rank=rank, weights=_default_weights(rank))
     return sample_ensemble(spec, child_rng(seed, trial))
-
-
-def _on_qubit0(n: int, pauli: np.ndarray = PAULI_Z) -> Observable:
-    """The observable the CLI estimators read: one Pauli on qubit 0 of n."""
-    return Observable.from_factors([pauli] + [PAULI_I] * (n - 1))
 
 
 def _trial_seed(seed: int, trial: int) -> int:

@@ -87,10 +87,15 @@ def basis_state(n: int, index: int = 0) -> np.ndarray:
 
 
 def _hermitian_part(m: np.ndarray, atol: float) -> np.ndarray | None:
-    """(m + m^H) / 2, or None when |m - m^H| exceeds atol * max(1, max |m|)."""
+    """(m + m^H) / 2, or None when |m - m^H| exceeds atol * max(1, max |m|).
+
+    A NaN or infinite entry is a ValidationError, raised before inf - inf is formed.
+    """
     mh = m.conj().T
-    scale = max(1.0, float(np.abs(m).max())) if m.size else 1.0
-    return (m + mh) / 2 if np.abs(m - mh).max() <= atol * scale else None
+    peak = float(np.abs(m).max()) if m.size else 0.0
+    if not np.isfinite(peak):
+        raise ValidationError("matrix has a non-finite entry")
+    return (m + mh) / 2 if np.abs(m - mh).max() <= atol * max(1.0, peak) else None
 
 
 def _column_phases(v: np.ndarray) -> np.ndarray:
@@ -443,6 +448,11 @@ class Observable:
         """
         c = np.asarray(columns)
         return float(np.sum(weights * np.real(np.sum(c.conj() * (self @ c), axis=0))))
+
+
+def _on_qubit0(n: int, pauli: np.ndarray = PAULI_Z) -> Observable:
+    """One Pauli on qubit 0 of n, built from factors: the observable the CLI and the baselines read."""
+    return Observable.from_factors([pauli] + [PAULI_I] * (n - 1))
 
 
 StateLike = Union[PureState, DensityMatrix]

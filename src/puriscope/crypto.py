@@ -54,7 +54,9 @@ def run_verification(
     Per trial the client prepares the branch state for a random alpha,
     hands the mixed A marginal to the server model, estimates the purity
     itself from the single B qubit, and accepts when the two reports agree
-    within the tolerance (half the gap between the two alpha branches).
+    within the tolerance.  The two alpha branches have purities near 0.82
+    and 0.5; the tolerance is below half their 0.32 gap, so the dishonest
+    server's constant midpoint report of 0.66 misses both branches.
     """
     if n < 2:
         raise DomainError("verification needs n >= 2 payload qubits")

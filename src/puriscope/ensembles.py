@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -83,29 +83,30 @@ SEPARATION_PAIRS = {
     "fisher": (EnsembleFamily.FISHER_S1, EnsembleFamily.FISHER_S2),
 }
 
-_MIN_QUBITS = {
-    EnsembleFamily.PURITY_S1: 1,
-    EnsembleFamily.PURITY_S2: 1,
-    EnsembleFamily.VC_PCA_S1: 2,
-    EnsembleFamily.VC_PCA_S2: 2,
-    EnsembleFamily.FISHER_S1: 2,
-    EnsembleFamily.FISHER_S2: 2,
-    EnsembleFamily.CLASS_CORR_CS1: 5,
-    EnsembleFamily.CLASS_CORR_CS2: 5,
-    EnsembleFamily.HAAR_PURE: 1,
-    EnsembleFamily.RANDOM_RANK_R: 1,
-}
 
-_DECLARED_RANK = {
-    EnsembleFamily.PURITY_S1: 2,
-    EnsembleFamily.PURITY_S2: 2,
-    EnsembleFamily.VC_PCA_S1: 3,
-    EnsembleFamily.VC_PCA_S2: 3,
-    EnsembleFamily.FISHER_S1: 3,
-    EnsembleFamily.FISHER_S2: 3,
-    EnsembleFamily.CLASS_CORR_CS1: 3,
-    EnsembleFamily.CLASS_CORR_CS2: 3,
-    EnsembleFamily.HAAR_PURE: 1,
+class _Family(NamedTuple):
+    """What a family's construction fixes: its qubit floor, rank and exact means."""
+
+    min_qubits: int
+    rank: Optional[int]  # None: random_rank_r takes its rank from the spec
+    mean_purity: Optional[Callable[[int], float]]  # E[Tr rho^2] at n; None: sum of the spec's w^2
+    statistic_mean: Optional[float] = None  # the cooling or Fisher statistic's exact mean
+
+
+_FAMILIES = {
+    EnsembleFamily.PURITY_S1: _Family(1, 2, lambda n: 0.82 + 0.18 / 2 ** n),
+    EnsembleFamily.PURITY_S2: _Family(1, 2, lambda n: 0.5 + 0.5 / 2 ** n),
+    # Tr(rho^2 Z) on the flag qubit: +-(0.5^2 - 2 * 0.25^2).
+    EnsembleFamily.VC_PCA_S1: _Family(2, 3, lambda n: 0.375, 0.125),
+    EnsembleFamily.VC_PCA_S2: _Family(2, 3, lambda n: 0.375, -0.125),
+    # Support-QFI of the X-flip observable: 1/14 on the structured family,
+    # 0 on its Hadamard twin (large-n anchors).
+    EnsembleFamily.FISHER_S1: _Family(2, 3, lambda n: 0.40625 + 0.09375 / 2 ** (n - 1), 1.0 / 14.0),
+    EnsembleFamily.FISHER_S2: _Family(2, 3, lambda n: 0.40625 + 0.09375 / 2 ** (n - 1), 0.0),
+    EnsembleFamily.CLASS_CORR_CS1: _Family(5, 3, lambda n: 0.40625),
+    EnsembleFamily.CLASS_CORR_CS2: _Family(5, 3, lambda n: 0.40625),
+    EnsembleFamily.HAAR_PURE: _Family(1, 1, lambda n: 1.0),
+    EnsembleFamily.RANDOM_RANK_R: _Family(1, None, None),
 }
 
 
@@ -121,8 +122,9 @@ class EnsembleSpec:
     def __post_init__(self):
         family = EnsembleFamily(self.family)
         object.__setattr__(self, "family", family)
-        if self.n < _MIN_QUBITS[family]:
-            raise DomainError(f"{family.value} requires n >= {_MIN_QUBITS[family]}, got {self.n}")
+        floor = _FAMILIES[family].min_qubits
+        if self.n < floor:
+            raise DomainError(f"{family.value} requires n >= {floor}, got {self.n}")
         if family is EnsembleFamily.RANDOM_RANK_R:
             if self.rank is None or self.rank < 1:
                 raise DomainError("random_rank_r requires rank >= 1")
@@ -141,9 +143,8 @@ class EnsembleSpec:
 
     @property
     def declared_rank(self) -> int:
-        if self.family is EnsembleFamily.RANDOM_RANK_R:
-            return int(self.rank)
-        return _DECLARED_RANK[self.family]
+        rank = _FAMILIES[self.family].rank
+        return int(self.rank) if rank is None else rank
 
 
 @dataclass(frozen=True)
@@ -160,20 +161,24 @@ class LabeledSample:
 
 def analytic_mean_purity(spec: EnsembleSpec) -> float:
     """Exact E[Tr rho^2] for a family, from the closed-form cross terms."""
-    fam = spec.family
-    if fam is EnsembleFamily.PURITY_S1:
-        return 0.82 + 0.18 / 2 ** spec.n
-    if fam is EnsembleFamily.PURITY_S2:
-        return 0.5 + 0.5 / 2 ** spec.n
-    if fam in (EnsembleFamily.VC_PCA_S1, EnsembleFamily.VC_PCA_S2):
-        return 0.375
-    if fam in (EnsembleFamily.FISHER_S1, EnsembleFamily.FISHER_S2):
-        return 0.40625 + 0.09375 / 2 ** (spec.n - 1)
-    if fam in (EnsembleFamily.CLASS_CORR_CS1, EnsembleFamily.CLASS_CORR_CS2):
-        return 0.40625
-    if fam is EnsembleFamily.HAAR_PURE:
-        return 1.0
-    return float(np.sum(np.asarray(spec.weights) ** 2))
+    mean = _FAMILIES[spec.family].mean_purity
+    if mean is None:
+        return float(np.sum(np.asarray(spec.weights) ** 2))
+    return mean(spec.n)
+
+
+def separated_statistic(spec: EnsembleSpec) -> tuple[str, float]:
+    """The SEPARATION_PAIRS task that spec's family belongs to, and its statistic's exact mean.
+
+    The purity task's statistic is Tr rho^2 itself; a family outside every
+    pair is a DomainError.
+    """
+    for task, pair in SEPARATION_PAIRS.items():
+        if spec.family in pair:
+            if task == "purity":
+                return task, analytic_mean_purity(spec)
+            return task, _FAMILIES[spec.family].statistic_mean
+    raise DomainError(f"{spec.family.value} belongs to no separation pair")
 
 
 def sample_ensemble(spec: EnsembleSpec, rng: np.random.Generator) -> LabeledSample:

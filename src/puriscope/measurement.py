@@ -20,7 +20,6 @@ from .core import (
     SpectralDecomposition,
     StateLike,
     eigh,
-    kron_all,
 )
 from .ensembles import _ginibre
 from .errors import DimensionError, DomainError, GuardError, InsufficientDataError, ValidationError
@@ -144,14 +143,15 @@ def measure_observable_with_stderr(
     O's and g_i's eigenvalues.
     """
     head, gs = observable
-    members = [Observable(g) for g in gs]
-    if len({g.dim for g in members}) != 1:
-        raise DimensionError(f"stacked observables need one dimension, got {[g.dim for g in members]}")
-    stack = np.stack([kron_all(*g.basis) for g in members])
-    counts = measure_in_basis(state, (*head.basis, stack), shots, rng).reshape(len(members), -1)
+    spectra = [eigh(g) for g in gs]
+    dims = [g.eigenvalues.size for g in spectra]
+    if len(set(dims)) != 1:
+        raise DimensionError(f"stacked observables need one dimension, got {dims}")
+    stack = np.stack([g.eigenvectors for g in spectra])
+    counts = measure_in_basis(state, (*head.basis, stack), shots, rng).reshape(len(spectra), -1)
     means, stderrs = zip(*(
         _mean_stderr(c, np.multiply.outer(head.eigenvalues, g.eigenvalues).ravel())
-        for c, g in zip(counts, members)
+        for c, g in zip(counts, spectra)
     ))
     return list(means), list(stderrs), counts.sum(axis=1).tolist()
 

@@ -156,6 +156,20 @@ class TestDistinguish:
         out = distinguish_experiment(pair, "purification", 4000, 120, seed=6)
         assert out.ci_low <= 0.5 <= out.ci_high
 
+    @pytest.mark.parametrize(
+        "first, second, threshold",
+        [
+            (EnsembleFamily.PURITY_S1, EnsembleFamily.PURITY_S2, 0.5 * ((0.82 + 0.18 / 16) + (0.5 + 0.5 / 16))),
+            (EnsembleFamily.VC_PCA_S1, EnsembleFamily.VC_PCA_S2, 0.0),
+            (EnsembleFamily.FISHER_S1, EnsembleFamily.FISHER_S2, 1.0 / 28.0),
+        ],
+        ids=["purity", "cooling", "fisher"],
+    )
+    def test_threshold_is_the_closed_form_midpoint(self, first, second, threshold):
+        pair = (EnsembleSpec(first, 4), EnsembleSpec(second, 4))
+        out = distinguish_experiment(pair, "purification", 4000, 1, seed=13)
+        assert out.threshold.hex() == threshold.hex()
+
     def test_unknown_pairing(self):
         pair = (
             EnsembleSpec(EnsembleFamily.PURITY_S1, 3),

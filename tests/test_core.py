@@ -832,3 +832,25 @@ def test_tolerance_checks_refuse_nan(build, message):
     # abs(x - 1) > tol is False for NaN; each check must fail NaN instead.
     with pytest.raises(ValidationError, match=message):
         build()
+
+
+def _with_inf(m, index):
+    m = np.array(m, dtype=complex)
+    m[index] = np.inf
+    return m
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Observable(_with_inf(pauli_on(3, 0, PAULI_Z), (3, 3))),
+        lambda: Observable(_with_inf(pauli_on(7, 0, PAULI_Z), (3, 3))),
+        lambda: DensityMatrix(_with_inf(np.eye(4) / 4, (0, 0)), 2),
+        lambda: Observable.from_factors([PAULI_X, _with_inf(PAULI_Z, (0, 0))]),
+    ],
+    ids=["Observable-3", "Observable-7", "DensityMatrix", "from_factors"],
+)
+def test_hermiticity_check_refuses_inf(build):
+    # inf - inf in the residual m - m^H would warn before the check could refuse the matrix.
+    with pytest.raises(ValidationError, match="non-finite entry"):
+        build()

@@ -20,7 +20,7 @@ from puriscope import (
     verification_state,
 )
 from puriscope.core import PAULI_X, pauli_on
-from puriscope.ensembles import _haar_vector
+from puriscope.ensembles import SEPARATION_PAIRS, _haar_vector, separated_statistic
 from puriscope.errors import CapacityError, DimensionError, DomainError, ValidationError
 
 
@@ -117,24 +117,34 @@ class TestEnsembleSpec:
         with pytest.raises(ValueError):
             EnsembleSpec("no_such_family", 2)
 
+    def test_separated_statistic_of_each_pair_family(self):
+        for task, pair in SEPARATION_PAIRS.items():
+            for family in pair:
+                assert separated_statistic(EnsembleSpec(family, 4))[0] == task
+        assert separated_statistic(EnsembleSpec(EnsembleFamily.VC_PCA_S2, 4)) == ("cooling", -0.125)
+        assert separated_statistic(EnsembleSpec(EnsembleFamily.FISHER_S1, 4)) == ("fisher", 1.0 / 14.0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            EnsembleSpec(EnsembleFamily.CLASS_CORR_CS1, 5),
+            EnsembleSpec(EnsembleFamily.HAAR_PURE, 3),
+            EnsembleSpec(EnsembleFamily.RANDOM_RANK_R, 3, rank=2, weights=(0.5, 0.5)),
+        ],
+        ids=lambda spec: spec.family.value,
+    )
+    def test_separated_statistic_refuses_a_family_outside_every_pair(self, spec):
+        with pytest.raises(DomainError, match="no separation pair"):
+            separated_statistic(spec)
+
 
 class TestSampleEnsemble:
     @pytest.mark.parametrize(
-        "family,n",
-        [
-            (EnsembleFamily.PURITY_S1, 3),
-            (EnsembleFamily.PURITY_S2, 3),
-            (EnsembleFamily.VC_PCA_S1, 4),
-            (EnsembleFamily.VC_PCA_S2, 4),
-            (EnsembleFamily.FISHER_S1, 4),
-            (EnsembleFamily.FISHER_S2, 4),
-            (EnsembleFamily.CLASS_CORR_CS1, 6),
-            (EnsembleFamily.CLASS_CORR_CS2, 6),
-            (EnsembleFamily.HAAR_PURE, 3),
-        ],
+        "family", [f for f in EnsembleFamily if f is not EnsembleFamily.RANDOM_RANK_R], ids=lambda f: f.value
     )
-    def test_rank_and_hidden_reconstruction(self, family, n):
-        spec = EnsembleSpec(family, n)
+    def test_rank_and_hidden_reconstruction(self, family):
+        # Every fixed-rank family, at a size each one allows.
+        spec = EnsembleSpec(family, 6)
         sample = sample_ensemble(spec, child_rng(20, list(EnsembleFamily).index(family)))
         assert sample.rho.rank() == spec.declared_rank
         rebuilt = np.zeros_like(sample.rho.matrix)
