@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional
 
 import numpy as np
 
-from .core import DensityMatrix, HADAMARD, Observable, PAULI_I, PAULI_X, _on_qubit0, matrix_power_trace
-from .ensembles import EnsembleSpec, child_rng, purify, sample_ensemble, separated_statistic
+from .core import DensityMatrix, HADAMARD, Observable, PAULI_X, _on_qubit0, matrix_power_trace
+from .ensembles import EnsembleSpec, _min_ancilla, child_rng, purify, sample_ensemble, separated_statistic
 from .errors import DomainError, GuardError
 from .estimators import estimate_moment, estimate_qfi, estimate_virtual_cooling, qfi_oracle
 from .measurement import ShotBudget, _mean_stderr, _rm_purity_estimates, measure_in_basis, tomography
@@ -28,7 +27,7 @@ SHOTS_PER_UNITARY = 8  # randomized-measurement depth, constant across n
 
 def swap_test_moment(
     rho: DensityMatrix,
-    observable: Optional[Observable],
+    observable: Observable,
     t: int,
     shots: int,
     seed: int,
@@ -46,14 +45,12 @@ def swap_test_moment(
         raise GuardError(
             f"joint register 2 * 2**({t} * {rho.n}) exceeds the 2**{SWAP_REGISTER_GUARD} guard"
         )
-    if observable is not None and observable.dim != rho.dim:
+    if observable.dim != rho.dim:
         raise DomainError("observable dimension does not match the state")
 
     rank = rho.rank()
     nB = (rank - 1).bit_length()
     psi = purify(rho, nB)
-    if observable is None:  # <X (x) I> is Tr(rho^t)
-        observable = Observable.from_factors([PAULI_I] * rho.n)
     dA, dB = 2 ** psi.nA, 2 ** psi.nB
 
     copies = psi.amplitudes
@@ -134,34 +131,33 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
 
 
 def _estimate_statistic(
-    rho: DensityMatrix, kind: str, strategy: str, budget: int, seed: int
+    rho: DensityMatrix, rank: int, kind: str, strategy: str, budget: int, seed: int
 ) -> float:
-    """Run one strategy on the visible state only; hidden data never enters."""
+    """Run one strategy on the visible state and its declared rank; hidden data never enters.
+
+    The purification arm purifies into the fewest ancilla qubits that hold ``rank``.
+    """
     n = rho.n
-    if kind == "purity":
-        if strategy == "purification":
-            psi = purify(rho, 1)
+    if strategy == "purification":
+        psi = purify(rho, _min_ancilla(rank))
+        if kind == "purity":
             return estimate_moment(psi, 2, ShotBudget(tomography_shots=budget), seed).value
+        if kind == "cooling":
+            return estimate_virtual_cooling(psi, _on_qubit0(n), 2, ShotBudget.split(budget), seed).value
+        return estimate_qfi(
+            psi, _on_qubit0(n, PAULI_X), ShotBudget.split(budget), seed, min_eigenvalue=0.01, min_gap=0.01
+        ).value
+    if kind == "purity":
         return single_copy_purity_attack(rho, budget, seed).value
     if kind == "cooling":
-        z1 = _on_qubit0(n)
-        if strategy == "purification":
-            psi = purify(rho, 2)
-            return estimate_virtual_cooling(psi, z1, 2, ShotBudget.split(budget), seed).value
         if n > 6:
             raise GuardError("plug-in tomography arm is guarded to n <= 6")
         spec = tomography(rho, budget, child_rng(seed, 0)).estimate.spectral()
-        return z1.expectation(spec.eigenvectors, spec.eigenvalues ** 2)  # Tr(rho_hat^2 Z)
-    x1 = _on_qubit0(n, PAULI_X)
-    if strategy == "purification":
-        psi = purify(rho, 2)
-        return estimate_qfi(
-            psi, x1, ShotBudget.split(budget), seed, min_eigenvalue=0.01, min_gap=0.01
-        ).value
+        return _on_qubit0(n).expectation(spec.eigenvectors, spec.eigenvalues ** 2)  # Tr(rho_hat^2 Z)
     if n > 5:
         raise GuardError("plug-in tomography arm is guarded to n <= 5")
     est = tomography(rho, budget, child_rng(seed, 0)).estimate
-    return qfi_oracle(est, x1, "support_only")
+    return qfi_oracle(est, _on_qubit0(n, PAULI_X), "support_only")
 
 
 @dataclass(frozen=True)
@@ -215,7 +211,9 @@ def distinguish_experiment(
         pick_b = bool(rng.integers(2))
         spec = spec_b if pick_b else spec_a
         sample = sample_ensemble(spec, rng)
-        est = _estimate_statistic(sample.rho, kind, strategy, budget, int(rng.integers(2 ** 31)))
+        est = _estimate_statistic(
+            sample.rho, spec.declared_rank, kind, strategy, budget, int(rng.integers(2 ** 31))
+        )
         if mean_a >= mean_b:
             guess_b = est <= threshold
         else:

@@ -50,6 +50,7 @@ from .ensembles import (
     SEPARATION_PAIRS,
     EnsembleFamily,
     EnsembleSpec,
+    _min_ancilla,
     child_rng,
     haar_unitary,
     purify,
@@ -80,9 +81,8 @@ def _default_weights(rank: int) -> tuple[float, ...]:
 
 def _ancilla_for(rank: int, requested: Optional[int]) -> int:
     """``--ancilla``, else the fewest qubits (at least one) that hold ``rank``."""
-    minimal = max(1, (rank - 1).bit_length())
     if requested is None:
-        return minimal
+        return _min_ancilla(rank)
     if 2 ** requested < rank:
         raise PuriscopeError(f"--ancilla {requested} cannot hold rank {rank}")
     return requested
@@ -168,7 +168,9 @@ def _rmse_trial(payload: tuple) -> dict:
     family_value, n, strategy, budget, seed, trial = payload
     spec = EnsembleSpec(EnsembleFamily(family_value), n)
     sample = sample_ensemble(spec, child_rng(seed, trial))
-    value = _estimate_statistic(sample.rho, "purity", strategy, budget, _trial_seed(seed, trial))
+    value = _estimate_statistic(
+        sample.rho, spec.declared_rank, "purity", strategy, budget, _trial_seed(seed, trial)
+    )
     return {"trial": trial, "error": value - sample.rho.purity()}
 
 

@@ -92,7 +92,7 @@ def _hermitian_part(m: np.ndarray, atol: float) -> np.ndarray | None:
     A NaN or infinite entry is a ValidationError, raised before inf - inf is formed.
     """
     mh = m.conj().T
-    peak = float(np.abs(m).max()) if m.size else 0.0
+    peak = float(np.abs(m).max())
     if not np.isfinite(peak):
         raise ValidationError("matrix has a non-finite entry")
     return (m + mh) / 2 if np.abs(m - mh).max() <= atol * max(1.0, peak) else None
@@ -304,8 +304,8 @@ def eigh(matrix: np.ndarray) -> SpectralDecomposition:
     result is deterministic given the input bytes.
     """
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise DimensionError(f"expected a nonempty square matrix, got shape {m.shape}")
     h = _hermitian_part(m, HERMITICITY_ATOL)
     if h is None:
         raise ValidationError("matrix is not Hermitian within 1e-10")
@@ -332,8 +332,8 @@ class Observable:
 
     def __post_init__(self):
         m = np.asarray(self._matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError(f"observable must be square, got shape {m.shape}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+            raise ValidationError(f"observable must be square and nonempty, got shape {m.shape}")
         self._matrix, self._factors = _freeze(m), None
         qubits = self._qubit_factors(self._matrix)
         if qubits is None:

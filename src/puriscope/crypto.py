@@ -131,6 +131,8 @@ def _blind_joint_state(prep_unitary: np.ndarray) -> tuple[PureState, np.ndarray,
     """
     u = np.asarray(prep_unitary, dtype=complex)
     d = u.shape[0]
+    if d < 2:
+        raise DomainError(f"preparation unitary must act on at least one qubit, got dimension {d}")
     n = int(np.log2(d))
     if 2 ** n != d or u.shape != (d, d):
         raise DomainError("preparation unitary must be square with power-of-two dimension")

@@ -5,9 +5,10 @@ derive an independent child generator, so batches can fan out across
 workers in any order and still reproduce bit-identically.
 
 Family parameter ``n`` always counts the qubits of the sampled state
-itself; the Haar-random components act on the trailing payload qubits
-dictated by each family's block structure (the two purity families draw
-both components from the full ``2**n``-dimensional space).
+itself.  Each fixed family's ``_FAMILIES`` row lists its rank-one
+components: a fixed prefix ket on the leading qubits times a Haar-random
+vector on the trailing ones (the two purity families have no prefix and
+draw both vectors from the full ``2**n``-dimensional space).
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import DensityMatrix, PureState, basis_state, kron_all
+from .core import DensityMatrix, PureState, basis_state
 from .errors import CapacityError, DimensionError, DomainError, ValidationError
 
+_E0, _E1 = basis_state(1, 0), basis_state(1, 1)
 _PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 _MINUS = np.array([1, -1], dtype=complex) / np.sqrt(2)
 
@@ -85,28 +87,58 @@ SEPARATION_PAIRS = {
 
 
 class _Family(NamedTuple):
-    """What a family's construction fixes: its qubit floor, rank and exact means."""
+    """What a family's construction fixes: its qubit floor, components and exact means.
+
+    A component (weight, prefix, draw) is the Kronecker product of the prefix
+    kets, leftmost most significant, with the Haar vector named ``draw`` on
+    the remaining qubits.  Components naming one draw share its vector, and
+    the vectors are drawn in order of first use.  The number of components
+    is the family's rank.
+    """
 
     min_qubits: int
-    rank: Optional[int]  # None: random_rank_r takes its rank from the spec
+    components: tuple[tuple[float, tuple[np.ndarray, ...], str], ...]  # (): random_rank_r
     mean_purity: Optional[Callable[[int], float]]  # E[Tr rho^2] at n; None: sum of the spec's w^2
     statistic_mean: Optional[float] = None  # the cooling or Fisher statistic's exact mean
 
 
+# Two three-level registers, each level embedded in two qubits as |00>, |01>,
+# |10>: level k on both registers is the four-qubit ket |5k>.
+_LEVELS = [basis_state(4, 5 * k) for k in range(3)]
+
+# PURITY_S1's second weight is 1.0 - 0.9, not the float 0.1: the pinned draws use it.
 _FAMILIES = {
-    EnsembleFamily.PURITY_S1: _Family(1, 2, lambda n: 0.82 + 0.18 / 2 ** n),
-    EnsembleFamily.PURITY_S2: _Family(1, 2, lambda n: 0.5 + 0.5 / 2 ** n),
+    EnsembleFamily.PURITY_S1: _Family(1, ((0.9, (), "u"), (1.0 - 0.9, (), "v")), lambda n: 0.82 + 0.18 / 2 ** n),
+    EnsembleFamily.PURITY_S2: _Family(1, ((0.5, (), "u"), (0.5, (), "v")), lambda n: 0.5 + 0.5 / 2 ** n),
     # Tr(rho^2 Z) on the flag qubit: +-(0.5^2 - 2 * 0.25^2).
-    EnsembleFamily.VC_PCA_S1: _Family(2, 3, lambda n: 0.375, 0.125),
-    EnsembleFamily.VC_PCA_S2: _Family(2, 3, lambda n: 0.375, -0.125),
+    EnsembleFamily.VC_PCA_S1: _Family(
+        2, ((0.5, (_E0,), "psi1"), (0.25, (_E1, _E0), "psi2"), (0.25, (_E1, _E1), "psi3")), lambda n: 0.375, 0.125
+    ),
+    EnsembleFamily.VC_PCA_S2: _Family(
+        2, ((0.5, (_E1,), "psi1"), (0.25, (_E0, _E0), "psi2"), (0.25, (_E0, _E1), "psi3")), lambda n: 0.375, -0.125
+    ),
     # Support-QFI of the X-flip observable: 1/14 on the structured family,
     # 0 on its Hadamard twin (large-n anchors).
-    EnsembleFamily.FISHER_S1: _Family(2, 3, lambda n: 0.40625 + 0.09375 / 2 ** (n - 1), 1.0 / 14.0),
-    EnsembleFamily.FISHER_S2: _Family(2, 3, lambda n: 0.40625 + 0.09375 / 2 ** (n - 1), 0.0),
-    EnsembleFamily.CLASS_CORR_CS1: _Family(5, 3, lambda n: 0.40625),
-    EnsembleFamily.CLASS_CORR_CS2: _Family(5, 3, lambda n: 0.40625),
-    EnsembleFamily.HAAR_PURE: _Family(1, 1, lambda n: 1.0),
-    EnsembleFamily.RANDOM_RANK_R: _Family(1, None, None),
+    EnsembleFamily.FISHER_S1: _Family(
+        2,
+        ((0.5, (_E0,), "u"), (0.375, (_E1,), "u"), (0.125, (_E1,), "v")),
+        lambda n: 0.40625 + 0.09375 / 2 ** (n - 1),
+        1.0 / 14.0,
+    ),
+    EnsembleFamily.FISHER_S2: _Family(
+        2,
+        ((0.5, (_PLUS,), "u"), (0.375, (_MINUS,), "u"), (0.125, (_MINUS,), "v")),
+        lambda n: 0.40625 + 0.09375 / 2 ** (n - 1),
+        0.0,
+    ),
+    EnsembleFamily.CLASS_CORR_CS1: _Family(
+        5, ((0.5, (_LEVELS[0],), "u"), (0.375, (_LEVELS[1],), "u"), (0.125, (_LEVELS[2],), "v")), lambda n: 0.40625
+    ),
+    EnsembleFamily.CLASS_CORR_CS2: _Family(
+        5, ((0.5, (_LEVELS[0],), "u"), (0.375, (_LEVELS[1],), "v"), (0.125, (_LEVELS[2],), "v")), lambda n: 0.40625
+    ),
+    EnsembleFamily.HAAR_PURE: _Family(1, ((1.0, (), "u"),), lambda n: 1.0),
+    EnsembleFamily.RANDOM_RANK_R: _Family(1, (), None),
 }
 
 
@@ -143,8 +175,7 @@ class EnsembleSpec:
 
     @property
     def declared_rank(self) -> int:
-        rank = _FAMILIES[self.family].rank
-        return int(self.rank) if rank is None else rank
+        return int(self.rank) if self.rank is not None else len(_FAMILIES[self.family].components)
 
 
 @dataclass(frozen=True)
@@ -183,74 +214,31 @@ def separated_statistic(spec: EnsembleSpec) -> tuple[str, float]:
 
 def sample_ensemble(spec: EnsembleSpec, rng: np.random.Generator) -> LabeledSample:
     """Draw one state from the family."""
-    fam = spec.family
     n = spec.n
-    dim = 2 ** n
-
-    if fam in (EnsembleFamily.PURITY_S1, EnsembleFamily.PURITY_S2):
-        u = _haar_vector(dim, rng)
-        v = _haar_vector(dim, rng)
-        w0 = 0.9 if fam is EnsembleFamily.PURITY_S1 else 0.5
-        parts = [(w0, u), (1.0 - w0, v)]
-        hidden = {"u": u, "v": v}
-
-    elif fam in (EnsembleFamily.VC_PCA_S1, EnsembleFamily.VC_PCA_S2):
-        psi1 = _haar_vector(2 ** (n - 1), rng)
-        psi2 = _haar_vector(2 ** (n - 2), rng)
-        psi3 = _haar_vector(2 ** (n - 2), rng)
-        e0 = np.array([1, 0], dtype=complex)
-        e1 = np.array([0, 1], dtype=complex)
-        flag0 = e0 if fam is EnsembleFamily.VC_PCA_S1 else e1
-        flag1 = e1 if fam is EnsembleFamily.VC_PCA_S1 else e0
-        parts = [
-            (0.5, np.kron(flag0, psi1)),
-            (0.25, np.kron(flag1, np.kron(e0, psi2))),
-            (0.25, np.kron(flag1, np.kron(e1, psi3))),
-        ]
-        hidden = {"psi1": psi1, "psi2": psi2, "psi3": psi3}
-
-    elif fam in (EnsembleFamily.FISHER_S1, EnsembleFamily.FISHER_S2):
-        u = _haar_vector(2 ** (n - 1), rng)
-        v = _haar_vector(2 ** (n - 1), rng)
-        if fam is EnsembleFamily.FISHER_S1:
-            a, b = np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)
-        else:
-            a, b = _PLUS, _MINUS
-        parts = [
-            (0.5, np.kron(a, u)),
-            (0.375, np.kron(b, u)),
-            (0.125, np.kron(b, v)),
-        ]
-        hidden = {"u": u, "v": v}
-
-    elif fam in (EnsembleFamily.CLASS_CORR_CS1, EnsembleFamily.CLASS_CORR_CS2):
-        u = _haar_vector(2 ** (n - 4), rng)
-        v = _haar_vector(2 ** (n - 4), rng)
-        mid = u if fam is EnsembleFamily.CLASS_CORR_CS1 else v
-        # Two three-level registers, each level embedded in two qubits as |00>, |01>, |10>.
-        parts = [
-            (0.5, kron_all(basis_state(2, 0), basis_state(2, 0), u).ravel()),
-            (0.375, kron_all(basis_state(2, 1), basis_state(2, 1), mid).ravel()),
-            (0.125, kron_all(basis_state(2, 2), basis_state(2, 2), v).ravel()),
-        ]
-        hidden = {"u": u, "v": v}
-
-    elif fam is EnsembleFamily.HAAR_PURE:
-        u = _haar_vector(dim, rng)
-        parts = [(1.0, u)]
-        hidden = {"u": u}
-
-    else:  # RANDOM_RANK_R
-        r = spec.rank
-        q = _haar_frame(_ginibre((dim, r), rng))
-        weights = np.asarray(spec.weights, dtype=float)
-        parts = [(float(w), q[:, i]) for i, w in enumerate(weights)]
+    if spec.family is EnsembleFamily.RANDOM_RANK_R:
+        q = _haar_frame(_ginibre((2 ** n, spec.rank), rng))
+        parts = list(zip(spec.weights, q.T))
         hidden = {"frame": q}
+    else:
+        parts, hidden = [], {}
+        for weight, prefix, draw in _FAMILIES[spec.family].components:
+            if draw not in hidden:
+                hidden[draw] = _haar_vector(2 ** n // math.prod(ket.size for ket in prefix), rng)
+            vec = hidden[draw]
+            # kron(a, kron(b, psi)), not kron(kron(a, b), psi): the two differ in zero signs.
+            for ket in reversed(prefix):
+                vec = np.kron(ket, vec)
+            parts.append((weight, vec))
 
     hidden["weights"] = tuple(w for w, _ in parts)
     hidden["components"] = tuple(vec for _, vec in parts)
     columns = np.column_stack([np.sqrt(w) * vec for w, vec in parts])
     return LabeledSample(DensityMatrix.from_columns(columns, n), hidden)
+
+
+def _min_ancilla(rank: int) -> int:
+    """The fewest qubits, at least one, whose basis kets hold ``rank`` eigenvectors."""
+    return max(1, (rank - 1).bit_length())
 
 
 def purify(rho: DensityMatrix, nB: int) -> PureState:

@@ -14,7 +14,7 @@ from puriscope import (
     swap_test_moment,
     wilson_interval,
 )
-from puriscope.core import PAULI_Z, basis_state, pauli_on
+from puriscope.core import PAULI_I, PAULI_Z, basis_state, pauli_on
 from puriscope.errors import DomainError, GuardError
 
 
@@ -30,13 +30,13 @@ class TestSwapTest:
         rng = child_rng(90)
         u = haar_unitary(4, rng)
         rho = DensityMatrix(np.outer(u[:, 0], u[:, 0].conj()), 2)
-        report = swap_test_moment(rho, None, 2, 4000, seed=1)
+        report = swap_test_moment(rho, Observable.from_factors([PAULI_I] * 2), 2, 4000, seed=1)
         assert abs(report.extras["exact_moment_expectation"] - 1.0) < 1e-9
         assert abs(report.value - 1.0) < 0.05
 
     def test_rank2_spectrum_t2(self):
         rho = rank2_state(2, child_rng(91))
-        report = swap_test_moment(rho, None, 2, 10_000, seed=2)
+        report = swap_test_moment(rho, Observable.from_factors([PAULI_I] * 2), 2, 10_000, seed=2)
         assert abs(report.truth - 0.82) < 1e-9
         assert abs(report.extras["exact_moment_expectation"] - 0.82) < 1e-9
         assert report.abs_error < 0.03
@@ -62,7 +62,7 @@ class TestSwapTest:
         assert abs(report.value - 0.262) < 1e-12
         assert abs(report.stderr - 0.015259062880793171) < 1e-12
         assert abs(report.extras["moment_estimate"] - 0.833) < 1e-12
-        report = swap_test_moment(rho, None, 3, 4000, seed=4)
+        report = swap_test_moment(rho, Observable.from_factors([PAULI_I] * 2), 3, 4000, seed=4)
         assert abs(report.value - 0.7295) < 1e-12
         assert abs(report.stderr - 0.010814686195169973) < 1e-12
 
@@ -76,7 +76,7 @@ class TestSwapTest:
     def test_register_guard(self):
         rho = DensityMatrix(np.eye(32) / 32, 5)
         with pytest.raises(GuardError):
-            swap_test_moment(rho, None, 3, 100, seed=4)
+            swap_test_moment(rho, Observable.from_factors([PAULI_I] * 5), 3, 100, seed=4)
 
     def test_sampled_variance_bound(self):
         rho = rank2_state(2, child_rng(94))

@@ -274,6 +274,13 @@ class TestCliContract:
         assert err.startswith(f"resource failure (seed 1): cannot write {out}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_crypto_blind_without_a_payload_qubit_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["crypto-blind", "--n", "0", "--rounds", "200", "--seed", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "precondition failure (seed 1): preparation unitary must act on at least one qubit, got dimension 1\n"
+        assert not out.exists()
+
     def test_determinism_modulo_timestamp(self, tmp_path):
         _, first, _ = run_cli(
             tmp_path, "cooling", "--n", "3", "--trials", "3", "--budget", "6000", "--seed", "21"

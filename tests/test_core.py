@@ -571,6 +571,14 @@ class TestObservable:
         with pytest.raises(ValidationError):
             Observable(np.array([[0, 1], [0.5, 0]], dtype=complex))
 
+    def test_rejects_the_empty_matrix(self):
+        with pytest.raises(DimensionError, match="nonempty square"):
+            eigh(np.zeros((0, 0)))
+        with pytest.raises(ValidationError, match="nonempty"):
+            Observable(np.zeros((0, 0)))
+        with pytest.raises(ValidationError, match="nonempty"):
+            Observable.from_factors([])
+
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_rejects_nan(self, n):
         # The embedded-Pauli recognition from 7 qubits on must not pass NaN on.

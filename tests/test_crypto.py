@@ -143,7 +143,7 @@ class TestBlindEstimation:
 
     def test_preparation_must_be_square_power_of_two(self):
         obs = Observable(PAULI_Z)
-        for prep in (np.eye(3), np.ones((4, 2))):
+        for prep in (np.eye(1), np.eye(3), np.ones((4, 2))):
             with pytest.raises(DomainError, match="preparation unitary"):
                 run_blind_estimation(prep, obs, 200, seed=10)
 

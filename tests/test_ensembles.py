@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,31 @@ from puriscope.errors import CapacityError, DimensionError, DomainError, Validat
 def _trace_norm_gap(a, b):
     """The un-halved trace distance of two states, read from their spectra."""
     return trace_norm(a.spectral().reconstruct() - b.spectral().reconstruct())
+
+
+# Each fixed family's draw at its qubit floor and at n = 6 -> the digest
+# test_fixed_family_stream_is_pinned computes.  These are the dense draws'
+# digests: a sampler that builds the families another way must match them.
+STREAM_DIGESTS = {
+    (EnsembleFamily.PURITY_S1, 1): "9a05bd7391334781",
+    (EnsembleFamily.PURITY_S1, 6): "5310940c72afb410",
+    (EnsembleFamily.PURITY_S2, 1): "5cfba310905ce06e",
+    (EnsembleFamily.PURITY_S2, 6): "2027d71a248e0a41",
+    (EnsembleFamily.VC_PCA_S1, 2): "efd27b56acdf3b53",
+    (EnsembleFamily.VC_PCA_S1, 6): "dec94cead2c5bda8",
+    (EnsembleFamily.VC_PCA_S2, 2): "cbdf61ef44503fb4",
+    (EnsembleFamily.VC_PCA_S2, 6): "791512fbf7bd4a58",
+    (EnsembleFamily.FISHER_S1, 2): "0333d0242626c3e4",
+    (EnsembleFamily.FISHER_S1, 6): "8c89e971cf6cf369",
+    (EnsembleFamily.FISHER_S2, 2): "16b4a95b48471014",
+    (EnsembleFamily.FISHER_S2, 6): "9e67c2458cf3ebb0",
+    (EnsembleFamily.CLASS_CORR_CS1, 5): "b8d8fb9f02986a54",
+    (EnsembleFamily.CLASS_CORR_CS1, 6): "494d0de0420ada7f",
+    (EnsembleFamily.CLASS_CORR_CS2, 5): "f4d72e3038066545",
+    (EnsembleFamily.CLASS_CORR_CS2, 6): "b66d0e0e5db5f696",
+    (EnsembleFamily.HAAR_PURE, 1): "9371b879ded6b2ae",
+    (EnsembleFamily.HAAR_PURE, 6): "1fce0f0d37c028c8",
+}
 
 
 class TestHaarSampling:
@@ -221,6 +248,19 @@ class TestSampleEnsemble:
         )
         se = values.std(ddof=1) / np.sqrt(samples)
         assert abs(values.mean() - analytic_mean_purity(spec)) <= 3 * max(se, 1e-12)
+
+    @pytest.mark.parametrize(
+        "family,n", [pytest.param(f, n, id=f"{f.value}-{n}") for f, n in STREAM_DIGESTS]
+    )
+    def test_fixed_family_stream_is_pinned(self, family, n):
+        # sha256 prefix of the draw's spectrum and components, signed zeros
+        # made +0.0: a change to how a family is built keeps its stream.
+        sample = sample_ensemble(EnsembleSpec(family, n), child_rng(40, list(EnsembleFamily).index(family), n))
+        spectrum = sample.rho.spectral()
+        digest = hashlib.sha256()
+        for array in (spectrum.eigenvalues, spectrum.eigenvectors, *sample.hidden["components"]):
+            digest.update((array + 0.0).tobytes())
+        assert digest.hexdigest()[:16] == STREAM_DIGESTS[family, n]
 
 
 class TestPurify:

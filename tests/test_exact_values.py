@@ -84,7 +84,9 @@ class TestNoDenseObservable:
     @pytest.mark.parametrize("with_observable", [False, True])
     def test_swap_test(self, with_observable):
         rho = _rank2(2, child_rng(311))
-        report = swap_test_moment(rho, _z_on_qubit0(2) if with_observable else None, 2, 2_000, 4)
+        report = swap_test_moment(
+            rho, _z_on_qubit0(2) if with_observable else Observable.from_factors([PAULI_I] * 2), 2, 2_000, 4
+        )
         assert abs(report.extras["exact_expectation"] - report.truth) < 1e-9
 
     def test_blind_estimation(self):

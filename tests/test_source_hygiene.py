@@ -105,7 +105,6 @@ def test_every_public_name_is_read_in_src():
 # Public members that no module of the package reads, each kept on purpose.
 MEMBER_INPUTS = {
     "channels.py:QuantumChannel.unitarity",  # the Choi-purity reference unitarity_estimate is graded against
-    "ensembles.py:EnsembleSpec.declared_rank",  # the declared rank an oracle-free protocol will read
 }
 
 
@@ -154,6 +153,31 @@ def test_keyword_only_parameters_are_pinned():
         for arg in node.args.kwonlyargs
     }
     assert sorted(found) == sorted(KEYWORD_ONLY)
+
+
+# Every positional parameter in src/ that has a default value, as
+# module:function:parameter.  A new optional parameter fails here until it
+# is added on purpose.
+DEFAULTED_POSITIONAL = {
+    "baselines.py:wilson_interval:z",
+    "channels.py:depolarizing_channel:n",
+    "cli.py:build_parser:only",
+    "cli.py:main:argv",
+    "core.py:basis_state:index",
+    "core.py:_on_qubit0:pauli",
+    "estimators.py:qfi_oracle:mode",
+}
+
+
+def test_defaulted_positional_parameters_are_pinned():
+    found = set()
+    for module, tree in _src_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                positional = node.args.posonlyargs + node.args.args
+                defaulted = positional[len(positional) - len(node.args.defaults):]
+                found |= {f"{module}:{node.name}:{arg.arg}" for arg in defaulted}
+    assert sorted(found) == sorted(DEFAULTED_POSITIONAL)
 
 
 # The functions that draw outcomes or resample counts.  Every other shot
