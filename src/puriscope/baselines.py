@@ -21,7 +21,6 @@ from .estimators import estimate_moment, estimate_qfi, estimate_virtual_cooling,
 from .measurement import ShotBudget, _mean_stderr, _rm_purity_estimates, measure_in_basis, tomography
 from .reports import EstimatorReport
 
-SWAP_REGISTER_GUARD = 13  # joint register dimension 2 * 2**(t n) <= 2**13
 SHOTS_PER_UNITARY = 8  # randomized-measurement depth, constant across n
 
 
@@ -32,51 +31,38 @@ def swap_test_moment(
     shots: int,
     seed: int,
 ) -> EstimatorReport:
-    """Generalized SWAP test on t copies via a purified statevector.
+    """Generalized SWAP test on t copies, simulated from rho's eigenpairs.
 
-    A control qubit in |+> drives the cyclic permutation of the system
-    registers; <X> on the control gives Tr(rho^t) and <X (x) O> on the
-    first copy gives Tr(O rho^t).  The copies are simulated as purified
-    statevectors so memory stays linear in the joint dimension.
+    A control qubit in |+> drives the cyclic permutation of the t copies;
+    <X> on the control gives Tr(rho^t) and <X (x) O> on the first copy
+    gives Tr(O rho^t).  Only the control and the first copy are measured,
+    and their state (I (x) rho + X (x) rho^t) / 2 holds |+> (x) v_j with
+    weight (l_j + l_j^t) / 2 and |-> (x) v_j with weight (l_j - l_j^t) / 2
+    for each eigenpair (l_j, v_j) of rho.  It is built from those 2r
+    columns in O(d r) memory, so no copy is formed and no register cap applies.
     """
     if t < 2:
         raise DomainError(f"the permutation test needs t >= 2, got {t}")
-    if 1 + t * rho.n > SWAP_REGISTER_GUARD:
-        raise GuardError(
-            f"joint register 2 * 2**({t} * {rho.n}) exceeds the 2**{SWAP_REGISTER_GUARD} guard"
-        )
     if observable.dim != rho.dim:
         raise DomainError("observable dimension does not match the state")
 
-    rank = rho.rank()
-    nB = (rank - 1).bit_length()
-    psi = purify(rho, nB)
-    dA, dB = 2 ** psi.nA, 2 ** psi.nB
-
-    copies = psi.amplitudes
-    for _ in range(t - 1):
-        copies = np.kron(copies, psi.amplitudes)
-    tensor = copies.reshape([dA, dB] * t)
-    branch0 = tensor.reshape(dA, -1)
-    # Cycle the system registers of the axes (A1, B1, ..., At, Bt), ancillas in place.
-    cycle = [axis for i in range(t) for axis in (2 * ((i + 1) % t), 2 * i + 1)]
-    branch1 = tensor.transpose(cycle).reshape(dA, -1)
-    # Control (x) first system copy, every other register traced out.
-    columns = np.concatenate([branch0, branch1]) / math.sqrt(2)
-    reduced = DensityMatrix.from_columns(columns, 1 + psi.nA)
+    columns, lam = rho.spectral().support()
+    w = lam / lam.sum()  # renormalised over the support, as purify renormalises
+    plus = columns * np.sqrt((w + w ** t) / 2)
+    minus = columns * np.sqrt(np.clip((w - w ** t) / 2, 0.0, None))
+    # The control's |0> and |1> blocks, as |+-> = (|0> +- |1>) / sqrt(2); b0 b1^dag is rho^t.
+    branch0, branch1 = np.hstack([plus, minus]), np.hstack([plus, -minus])
+    reduced = DensityMatrix.from_columns(np.concatenate([branch0, branch1]) / math.sqrt(2), 1 + rho.n)
 
     # Control in the X eigenbasis: |+> outcome +1, |-> outcome -1.
     counts = measure_in_basis(reduced, (HADAMARD, *observable.basis), shots, child_rng(seed, 0))
-    x_signs = np.repeat([1.0, -1.0], dA)
+    x_signs = np.repeat([1.0, -1.0], rho.dim)
     value, stderr = _mean_stderr(counts, x_signs * np.tile(observable.eigenvalues, 2))
     x_mean = _mean_stderr(counts, x_signs)[0]
 
-    columns, weights = rho.spectral().support()
-    truth = observable.expectation(columns, weights ** t)
-
     return EstimatorReport(
         value=value,
-        truth=truth,
+        truth=observable.expectation(columns, lam ** t),
         shots_used={"swap_test": shots},
         stderr=stderr,
         seed=seed,
@@ -85,7 +71,6 @@ def swap_test_moment(
             "moment_estimate": x_mean,
             "moment_truth": matrix_power_trace(rho, t),
             "exact_moment_expectation": float(np.real(np.vdot(branch0, branch1))),
-            "ancilla_qubits": nB,
         },
     )
 

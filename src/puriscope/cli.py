@@ -56,8 +56,9 @@ from .ensembles import (
     purify,
     sample_ensemble,
 )
-from .errors import InsufficientDataError, PuriscopeError
+from .errors import GuardError, InsufficientDataError, PuriscopeError
 from .estimators import (
+    ANCILLA_GUARD,
     PurificationIdentity,
     estimate_moment,
     estimate_pca,
@@ -80,9 +81,14 @@ def _default_weights(rank: int) -> tuple[float, ...]:
 
 
 def _ancilla_for(rank: int, requested: Optional[int]) -> int:
-    """``--ancilla``, else the fewest qubits (at least one) that hold ``rank``."""
+    """``--ancilla``, else the fewest qubits (at least one) that hold ``rank``.
+
+    Refused above the estimators' ``ANCILLA_GUARD`` before any trial builds a purification.
+    """
     if requested is None:
         return _min_ancilla(rank)
+    if requested > ANCILLA_GUARD:
+        raise GuardError(f"nB = {requested} exceeds the desk-scale guard {ANCILLA_GUARD}")
     if 2 ** requested < rank:
         raise PuriscopeError(f"--ancilla {requested} cannot hold rank {rank}")
     return requested

@@ -452,6 +452,8 @@ class Observable:
 
 def _on_qubit0(n: int, pauli: np.ndarray = PAULI_Z) -> Observable:
     """One Pauli on qubit 0 of n, built from factors: the observable the CLI and the baselines read."""
+    if n < 1:
+        raise DimensionError(f"an observable on qubit 0 needs n >= 1, got {n}")
     return Observable.from_factors([pauli] + [PAULI_I] * (n - 1))
 
 

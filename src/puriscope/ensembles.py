@@ -253,6 +253,8 @@ def purify(rho: DensityMatrix, nB: int) -> PureState:
     r = lam.size
     if 2 ** nB < r:
         raise CapacityError(f"2**{nB} ancilla levels cannot hold rank {r}")
+    if rho.dim * 2 ** nB * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
+        raise MemoryError(f"2**{rho.n + nB} amplitudes exceed the address space")  # as in _ginibre
     amps = np.zeros((rho.dim, 2 ** nB), dtype=complex)  # row index: A, column: B
     # Add onto +0.0 rather than assign, so no -0.0 entry of the eigenvectors
     # reaches the state (tests compare its bytes with the term-by-term sum).

@@ -45,6 +45,7 @@ from puriscope import (
     trace_norm,
 )
 from puriscope.core import PAULI_I, PAULI_X, PAULI_Z, pauli_on
+from puriscope.ensembles import _min_ancilla
 from puriscope.estimators import eigenstate_factor_exact
 
 
@@ -238,6 +239,32 @@ class TestCriterion5Separation:
         )
 
 
+def _swap_circuit(rho, obs, t):
+    """Reference <X (x) O> and <X> of the t-copy SWAP-test circuit, simulated copy by copy.
+
+    A control in |+> cycles the system registers of t purified copies;
+    the control's |0> and |1> branches of the first system copy, with
+    every other register traced out, give both expectations.
+    """
+    psi = purify(rho, _min_ancilla(rho.rank()))
+    dA, dB = 2 ** psi.nA, 2 ** psi.nB
+    copies = psi.amplitudes
+    for _ in range(t - 1):
+        copies = np.kron(copies, psi.amplitudes)
+    tensor = copies.reshape([dA, dB] * t)
+    branch0 = tensor.reshape(dA, -1)
+    # Cycle the system registers of the axes (A1, B1, ..., At, Bt), ancillas in place.
+    cycle = [axis for i in range(t) for axis in (2 * ((i + 1) % t), 2 * i + 1)]
+    branch1 = tensor.transpose(cycle).reshape(dA, -1)
+    return np.vdot(branch0, obs.matrix @ branch1).real, np.vdot(branch0, branch1).real
+
+
+def _assert_matches_circuit(report, rho, obs, t):
+    x_obs, x = _swap_circuit(rho, obs, t)
+    assert abs(report.extras["exact_expectation"] - x_obs) <= 1e-12
+    assert abs(report.extras["exact_moment_expectation"] - x) <= 1e-12
+
+
 class TestCriterion6SwapEquivalence:
     def test_exact_and_sampled(self):
         for trial in range(12):
@@ -248,8 +275,6 @@ class TestCriterion6SwapEquivalence:
             h = (z + z.conj().T) / 2
             obs = Observable(h / np.abs(np.linalg.eigvalsh(h)).max())
             for t in (2, 3):
-                if 1 + t * n > 13:
-                    continue
                 report = swap_test_moment(rho, obs, t, 10_000, seed=trial * 10 + t)
                 assert abs(report.extras["exact_expectation"] - report.truth) <= 1e-9
                 assert (
@@ -257,7 +282,19 @@ class TestCriterion6SwapEquivalence:
                     <= 1e-9
                 )
                 assert report.abs_error <= 3.5 * max(report.stderr, 1e-4)
+                if 1 + t * n > 13:
+                    continue  # the reference circuit's t copies outgrow desk memory
+                _assert_matches_circuit(report, rho, obs, t)
         _report(6, "swap-test equivalence (exact <= 1e-9, samples within noise)")
+
+    @pytest.mark.parametrize("t", [2, 3])
+    @pytest.mark.parametrize("n, rank", [(n, rank) for n in (1, 2, 3) for rank in (1, 2, 3, 4) if rank <= 2 ** n])
+    def test_exact_extras_match_the_circuit(self, n, t, rank):
+        rng = child_rng(1510, n, t, rank)
+        rho = _random_mixed(n, rank, rng)
+        factors = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+        obs = Observable.from_factors(factors + factors.conj().swapaxes(1, 2))
+        _assert_matches_circuit(swap_test_moment(rho, obs, t, 100, seed=rank), rho, obs, t)
 
 
 class TestCriterion7ChannelSuite:

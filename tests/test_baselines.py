@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from puriscope import (
     swap_test_moment,
     wilson_interval,
 )
-from puriscope.core import PAULI_I, PAULI_Z, basis_state, pauli_on
+from puriscope.core import PAULI_I, PAULI_Z, _on_qubit0, basis_state, pauli_on
 from puriscope.errors import DomainError, GuardError
 
 
@@ -49,8 +51,6 @@ class TestSwapTest:
             z = rng.standard_normal((2 ** n, 2 ** n)) + 1j * rng.standard_normal((2 ** n, 2 ** n))
             obs = Observable((z + z.conj().T) / 2)
             for t in (2, 3):
-                if 1 + t * n > 13:
-                    continue
                 report = swap_test_moment(rho, obs, t, 100, seed=trial)
                 assert abs(report.extras["exact_expectation"] - report.truth) < 1e-9
                 assert abs(report.extras["exact_moment_expectation"] - report.extras["moment_truth"]) < 1e-9
@@ -73,10 +73,20 @@ class TestSwapTest:
         assert abs(report.truth - 0.125) < 1e-9
         assert report.abs_error < 0.03
 
-    def test_register_guard(self):
-        rho = DensityMatrix(np.eye(32) / 32, 5)
-        with pytest.raises(GuardError):
-            swap_test_moment(rho, Observable.from_factors([PAULI_I] * 5), 3, 100, seed=4)
+    @pytest.mark.parametrize("n, t", [(5, 3), (10, 2)])
+    def test_no_register_cap(self, n, t):
+        # t copies of a rank-4 purification hold 2**(t (n + 2)) amplitudes: 32 MiB at (5, 3), 256 MiB at (10, 2).
+        spec = EnsembleSpec(EnsembleFamily.RANDOM_RANK_R, n, rank=4, weights=(8 / 15, 4 / 15, 2 / 15, 1 / 15))
+        rho = sample_ensemble(spec, child_rng(96, n)).rho
+        tracemalloc.start()
+        try:
+            report = swap_test_moment(rho, _on_qubit0(n), t, 10_000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(report.value - report.truth) <= 5 * report.stderr
+        # measured 0.05 MiB at (5, 3) and 1.4 MiB at (10, 2)
+        assert peak < 4 * 2 ** 20, peak / 2 ** 20
 
     def test_sampled_variance_bound(self):
         rho = rank2_state(2, child_rng(94))

@@ -170,6 +170,18 @@ class TestCliContract:
         assert rc == 2
         assert payload is None
 
+    @pytest.mark.parametrize("ancilla", [4, 30, 62])
+    def test_ancilla_past_the_guard_exits_2_before_any_trial(self, tmp_path, monkeypatch, capsys, ancilla):
+        # refused before any trial: purify would ask for 2**64 amplitudes at 62 and 64 GiB at 30
+        monkeypatch.setattr(cli, "_estimator_trial", lambda payload: pytest.fail("a trial ran"))
+        out = tmp_path / "result.json"
+        rc = main(["moment", "--n", "2", "--ancilla", str(ancilla), "--trials", "1", "--seed", "5",
+                   "--jobs", "1", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"precondition failure (seed 5): nB = {ancilla} exceeds the desk-scale guard 3\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed, trial", [(4, 0), (0, 3)])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_precondition_failure_names_seed_and_trial(self, tmp_path, monkeypatch, capsys, seed, trial, jobs):
@@ -278,7 +290,8 @@ class TestCliContract:
         out = tmp_path / "x.json"
         assert main(["crypto-blind", "--n", "0", "--rounds", "200", "--seed", "1", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err == "precondition failure (seed 1): preparation unitary must act on at least one qubit, got dimension 1\n"
+        # _on_qubit0 refuses n = 0 before the 1 x 1 preparation reaches crypto's own refusal
+        assert err == "precondition failure (seed 1): an observable on qubit 0 needs n >= 1, got 0\n"
         assert not out.exists()
 
     def test_determinism_modulo_timestamp(self, tmp_path):

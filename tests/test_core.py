@@ -26,6 +26,7 @@ from puriscope.core import (
     PSD_ATOL,
     _FACTOR_MIN_QUBITS,
     _canonical,
+    _on_qubit0,
     kron_all,
     pauli_on,
 )
@@ -586,6 +587,11 @@ class TestObservable:
         m[3, 3] = np.nan
         with pytest.raises(ValidationError):
             Observable(m)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_qubit0_observable_needs_a_qubit(self, n):
+        with pytest.raises(DimensionError, match="n >= 1"):
+            _on_qubit0(n)
 
     def test_embedded_pauli(self):
         z1 = pauli_on(3, 0, PAULI_Z)

@@ -308,6 +308,12 @@ class TestPurify:
         with pytest.raises(DomainError):
             purify(rho, -1)
 
+    def test_register_past_the_address_space_is_a_memory_error(self):
+        # as for the draws: numpy's ValueError would name no cause
+        rho = DensityMatrix(np.eye(4) / 4, 2)
+        with pytest.raises(MemoryError, match="2\\*\\*64 amplitudes exceed the address space"):
+            purify(rho, 62)
+
 
 class TestClassicalCorrelate:
     def test_pure_state_appends_ground_ancilla(self):
